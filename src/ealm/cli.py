@@ -8,12 +8,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import pipeline as pl
-from . import rank as rank_mod
 from .data import dataset_stats, generate_synthetic_corpus, load_jsonl, save_jsonl
-from .rank import RankingWeights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,55 +54,28 @@ def cmd_stats(args) -> int:
 
 def cmd_finetune_grid(args) -> int:
     cfg = _load_config(args)
-    meter = _build_meter(cfg, args)
-    train = load_jsonl(cfg.train_path)
-    evalr = load_jsonl(cfg.eval_path)
-    records, artifacts = pl.run_finetune_grid(cfg, meter, train, evalr)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pl.save_candidates(records, out / "candidates_loop1.json")
-    pl.save_artifacts(artifacts, out)
-    print(f"loop 1: {len(records)} candidates -> {out}")
+    records = pl.finetune_stage(cfg, _build_meter(cfg, args))
+    print(f"loop 1: {len(records)} candidates -> {cfg.out_dir}")
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    records = pl.load_candidates(out / "candidates_loop1.json")
-    ok = [r for r in records if r.status == "ok"]
-    topk = rank_mod.select_top_k(ok, RankingWeights(w=cfg.w, k=cfg.k))
-    pl.save_candidates(topk, out / "topk.json")
-    for rec in topk:
+    for rec in pl.rank_stage(_load_config(args)):
         print(f"{rec.id}\tR={rec.r_score:.4f}\tphi={rec.phi:.4f}\trho={rec.rho:.4f}")
     return EXIT_OK
 
 
 def cmd_prune_grid(args) -> int:
     cfg = _load_config(args)
-    meter = _build_meter(cfg, args)
-    out = Path(cfg.out_dir)
-    loop1 = pl.load_candidates(out / "candidates_loop1.json")
-    topk = pl.load_candidates(out / "topk.json")
-    artifacts = pl.load_artifacts([r.id for r in topk], out)
-    baseline = next(r for r in loop1 if r.baseline)
-    base_eval = pl.load_artifacts([baseline.id], out)[baseline.id]["eval_energy"]
-    evalr = load_jsonl(cfg.eval_path)
-    loop2 = pl.run_prune_grid(topk, artifacts, cfg, meter, evalr, base_eval)
-    pl.save_candidates(loop2, out / "candidates_loop2.json")
-    print(f"loop 2: {len(loop2)} candidates -> {out}")
+    records = pl.prune_stage(cfg, _build_meter(cfg, args))
+    print(f"loop 2: {len(records)} candidates -> {cfg.out_dir}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    records = pl.load_candidates(out / "candidates_loop1.json")
-    loop2_path = out / "candidates_loop2.json"
-    if loop2_path.exists():
-        records += pl.load_candidates(loop2_path)
-    pl.emit_report(records, cfg, out)
-    print(f"reports written to {out}")
+    pl.report_stage(cfg)
+    print(f"reports written to {cfg.out_dir}")
     return EXIT_OK
 
 

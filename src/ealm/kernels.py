@@ -1,37 +1,16 @@
-"""Hot inner-loop kernels with numba acceleration.
-
-Every kernel has a pure-numpy twin (``*_np``) used both as a fallback when
-numba is unavailable and as the reference path in tests/benchmarks. Set
-``EALM_DISABLE_NUMBA=1`` to force the numpy path.
-"""
-
-import os
+"""Inner-loop kernels in numpy: nibble packing, N:M masks, LCS length."""
 
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("EALM_DISABLE_NUMBA", "") == "1"
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # decorator no-op so the jitted defs below stay importable
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# There is no JIT path; the flag stays for tools that report the environment.
+HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # 4-bit nibble packing (two's complement, low nibble = even index)
 
 
-def pack_nibbles_np(codes):
+def pack_nibbles(codes):
     codes = np.asarray(codes, dtype=np.int8)
     n = codes.size
     padded = np.zeros((n + 1) // 2 * 2, dtype=np.int8)
@@ -40,20 +19,7 @@ def pack_nibbles_np(codes):
     return (u[0::2] | (u[1::2] << 4)).astype(np.uint8)
 
 
-@njit(cache=True)
-def _pack_nibbles_nb(codes):
-    n = codes.size
-    out = np.zeros((n + 1) // 2, dtype=np.uint8)
-    for i in range(n):
-        nib = np.uint8(codes[i] & 0xF)
-        if i % 2 == 0:
-            out[i // 2] |= nib
-        else:
-            out[i // 2] |= nib << 4
-    return out
-
-
-def unpack_nibbles_np(packed, n):
+def unpack_nibbles(packed, n):
     packed = np.asarray(packed, dtype=np.uint8)
     u = np.empty(packed.size * 2, dtype=np.uint8)
     u[0::2] = packed & 0xF
@@ -64,28 +30,13 @@ def unpack_nibbles_np(packed, n):
     return signed
 
 
-@njit(cache=True)
-def _unpack_nibbles_nb(packed, n):
-    out = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        if i % 2 == 0:
-            nib = packed[i // 2] & np.uint8(0xF)
-        else:
-            nib = packed[i // 2] >> 4
-        v = np.int8(nib)
-        if v >= 8:
-            v -= 16
-        out[i] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # N:M sparsity mask for one matrix: per row, in each consecutive group of m,
 # keep the n largest |w| (ties keep the lower in-group index). Trailing
 # partial group of size g keeps min(n, g).
 
 
-def nm_mask_np(w, n, m):
+def nm_mask_kernel(w, n, m):
     rows, cols = w.shape
     mask = np.zeros((rows, cols), dtype=np.bool_)
     a = np.abs(w)
@@ -111,35 +62,11 @@ def nm_mask_np(w, n, m):
     return mask
 
 
-@njit(cache=True)
-def _nm_mask_nb(w, n, m):
-    rows, cols = w.shape
-    mask = np.zeros((rows, cols), dtype=np.bool_)
-    for r in range(rows):
-        start = 0
-        while start < cols:
-            g = min(m, cols - start)
-            k = min(n, g)
-            for _ in range(k):
-                best = -1
-                best_v = -1.0
-                for j in range(start, start + g):
-                    if mask[r, j]:
-                        continue
-                    v = abs(w[r, j])
-                    if v > best_v:
-                        best_v = v
-                        best = j
-                mask[r, best] = True
-            start += m
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Longest common subsequence length over integer id sequences (ROUGE-L).
 
 
-def lcs_length_np(a, b):
+def lcs_length(a, b):
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return 0
@@ -152,35 +79,3 @@ def lcs_length_np(a, b):
         prev, cur = cur, prev
     return int(prev[lb])
 
-
-@njit(cache=True)
-def _lcs_length_nb(a, b):
-    la, lb = len(a), len(b)
-    prev = np.zeros(lb + 1, dtype=np.int64)
-    cur = np.zeros(lb + 1, dtype=np.int64)
-    for i in range(la):
-        for j in range(lb):
-            if a[i] == b[j]:
-                cur[j + 1] = prev[j] + 1
-            elif cur[j] > prev[j + 1]:
-                cur[j + 1] = cur[j]
-            else:
-                cur[j + 1] = prev[j + 1]
-        prev, cur = cur, prev
-    return prev[lb]
-
-
-def lcs_length_nb(a, b):
-    return int(_lcs_length_nb(a, b))
-
-
-if HAS_NUMBA:
-    pack_nibbles = _pack_nibbles_nb
-    unpack_nibbles = _unpack_nibbles_nb
-    nm_mask_kernel = _nm_mask_nb
-    lcs_length = lcs_length_nb
-else:
-    pack_nibbles = pack_nibbles_np
-    unpack_nibbles = unpack_nibbles_np
-    nm_mask_kernel = nm_mask_np
-    lcs_length = lcs_length_np

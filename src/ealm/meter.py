@@ -8,6 +8,7 @@ Spans never nest; the measured workload must be the only active compute.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
@@ -108,11 +109,6 @@ def read_powercap_counter(path) -> int:
             f"cannot read powercap counter {path}: {e}; "
             "fall back to the constant-power source"
         ) from e
-
-
-def read_powercap_max_range(counter_path) -> int:
-    p = Path(counter_path)
-    return read_powercap_counter(p.parent / f"max_{p.name}_range")
 
 
 def counter_delta(prev: int, curr: int, max_range: int) -> int:
@@ -252,22 +248,15 @@ def report_from_dict(d: dict) -> EnergyReport:
     )
 
 
-def to_co2e(kwh: float, intensity: float) -> float:
-    if kwh < 0 or intensity < 0:
-        raise MeterError("kwh and intensity must be non-negative")
-    return kwh * intensity
-
-
 def meter_from_spec(spec: str, config: MeterConfig | None = None) -> Meter:
     """Build a meter from a CLI-style spec: powercap | constant | trace:<path>."""
     base = config or MeterConfig()
     if spec == "constant":
-        base.source = "constant-power"
+        changes = {"source": "constant-power"}
     elif spec == "powercap":
-        base.source = "powercap"
+        changes = {"source": "powercap"}
     elif spec.startswith("trace:"):
-        base.source = "trace-replay"
-        base.trace_path = spec.split(":", 1)[1]
+        changes = {"source": "trace-replay", "trace_path": spec.split(":", 1)[1]}
     else:
         raise MeterError(f"bad meter spec {spec!r}")
-    return Meter(base)
+    return Meter(dataclasses.replace(base, **changes))

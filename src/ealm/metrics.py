@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,7 @@ def rouge_l(candidate, reference) -> float:
     if not candidate or not reference:
         raise MetricError("rouge_l needs nonempty inputs")
     a, b = _to_ids(candidate, reference)
-    lcs = int(lcs_length(a, b))
+    lcs = lcs_length(a, b)
     return _f1(lcs / len(candidate), lcs / len(reference))
 
 

@@ -17,7 +17,7 @@ from . import prune as prune_mod
 from . import quant as quant_mod
 from . import rank as rank_mod
 from . import tinylm
-from .data import DatasetRecord, dataset_stats, generate_synthetic_corpus, load_jsonl
+from .data import DatasetRecord, load_jsonl
 from .meter import (
     EnergyReport,
     Meter,
@@ -167,6 +167,8 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     for bits in config.bits_grid:
         for epochs in config.epochs_grid:
             cid = f"ft-b{bits}-e{epochs}"
+            lineage = {"precision_bits": bits, "epochs_trained": epochs,
+                       "prune": None, "parent_id": None}
             try:
                 bundle = quant_mod.quantize_bundle(base32, quant_mod.QuantSpec(bits))
                 adapters = tinylm.init_adapters(
@@ -186,8 +188,7 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                 total = combine_reports([tr.energy for tr in train_recs] + [eval_energy])
                 rec = CandidateRecord(
                     id=cid,
-                    lineage={"precision_bits": bits, "epochs_trained": epochs,
-                             "prune": None, "parent_id": None},
+                    lineage=lineage,
                     scores=scores,
                     energy=total,
                     stage="finetune",
@@ -195,25 +196,20 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                     extra={"payload_bytes": payload_bytes(bundle),
                            "eval_energy": eval_energy.to_dict()},
                 )
-                artifacts[cid] = {"bundle": bundle, "adapters": adapters,
-                                  "eval_energy": eval_energy}
+                artifacts[cid] = {"bundle": bundle, "adapters": adapters}
             except Exception as e:  # candidate failure is recorded, not fatal
-                rec = CandidateRecord(
-                    id=cid,
-                    lineage={"precision_bits": bits, "epochs_trained": epochs,
-                             "prune": None, "parent_id": None},
-                    status="failed", error=f"{type(e).__name__}: {e}",
-                    stage="finetune",
-                )
+                rec = _failed(cid, lineage, "finetune", e)
             records.append(rec)
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         raise StageError("finetune-grid: every candidate failed")
-    _score_loop(ok, config.w, _pick_baseline(ok, config))
+    baseline = _pick_baseline(ok)
+    baseline.baseline = True
+    _score(ok, config.w, baseline.energy)  # phi = 1 - E/E = 0 for the baseline
     return records, artifacts
 
 
-def _pick_baseline(ok_records: list[CandidateRecord], config: PipelineConfig) -> CandidateRecord:
+def _pick_baseline(ok_records: list[CandidateRecord]) -> CandidateRecord:
     """Baseline: highest-precision (32-bit when present), max-epochs, unpruned."""
     best_bits = max(r.lineage["precision_bits"] for r in ok_records)
     pool = [r for r in ok_records if r.lineage["precision_bits"] == best_bits]
@@ -222,16 +218,17 @@ def _pick_baseline(ok_records: list[CandidateRecord], config: PipelineConfig) ->
     return pool[0]
 
 
-def _score_loop(records: list[CandidateRecord], w: float, baseline: CandidateRecord,
-                base_energy: EnergyReport | None = None) -> None:
-    ref = base_energy if base_energy is not None else baseline.energy
+def _score(records: list[CandidateRecord], w: float, ref_energy: EnergyReport) -> None:
+    """Sets rho, phi (saving relative to `ref_energy`) and R on every record."""
     for rec in records:
         rec.rho = rank_mod.performance_score(rec.scores)
-        rec.phi = rank_mod.efficiency_score(rec.energy, ref)
+        rec.phi = rank_mod.efficiency_score(rec.energy, ref_energy)
         rec.r_score = rank_mod.rank_score(rec.phi, rec.rho, w)
-    baseline.baseline = True
-    baseline.phi = 0.0
-    baseline.r_score = rank_mod.rank_score(0.0, baseline.rho, w)
+
+
+def _failed(cid: str, lineage: dict, stage: str, exc: Exception) -> CandidateRecord:
+    return CandidateRecord(id=cid, lineage=lineage, status="failed",
+                           error=f"{type(exc).__name__}: {exc}", stage=stage)
 
 
 def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: PipelineConfig,
@@ -283,15 +280,13 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
                     extra={"payload_bytes": payload_bytes(pruned),
                            "sparsity": prune_mod.sparsity(pruned)},
                 )
-                rec.rho = rank_mod.performance_score(scores)
-                rec.phi = rank_mod.efficiency_score(energy, base_eval_energy)
-                rec.r_score = rank_mod.rank_score(rec.phi, rec.rho, config.w)
-            except Exception as e:
-                rec = CandidateRecord(id=cid, lineage=lineage, status="failed",
-                                      error=f"{type(e).__name__}: {e}", stage="prune")
+            except Exception as e:  # candidate failure is recorded, not fatal
+                rec = _failed(cid, lineage, "prune", e)
             records.append(rec)
-    if not any(r.status == "ok" for r in records):
+    ok = [r for r in records if r.status == "ok"]
+    if not ok:
         raise StageError("prune-grid: every candidate failed")
+    _score(ok, config.w, base_eval_energy)
     return records
 
 
@@ -355,9 +350,7 @@ def emit_report(records: list[CandidateRecord], config: PipelineConfig, out_dir)
         for rec in ok:
             if rec.energy is None:
                 continue
-            ref = (report_from_dict(baseline.extra["eval_energy"])
-                   if rec.stage == "prune" and "eval_energy" in baseline.extra
-                   else baseline.energy)
+            ref = _eval_energy(baseline) if rec.stage == "prune" else baseline.energy
             derived[rec.id] = {
                 "energy_saving_pct": 100.0 * (1.0 - rec.energy.total_joules / ref.total_joules),
                 "mean_metric_delta": rec.rho - baseline.rho,
@@ -405,7 +398,8 @@ def emit_report(records: list[CandidateRecord], config: PipelineConfig, out_dir)
 
 
 # ---------------------------------------------------------------------------
-# staged state persistence (for the step-by-step CLI)
+# staged state: every stage reads its inputs from and writes its outputs to
+# files in out_dir, so `run_all` and the stage commands share one path.
 
 
 def _record_from_dict(d: dict) -> CandidateRecord:
@@ -426,6 +420,12 @@ def _record_from_dict(d: dict) -> CandidateRecord:
     return rec
 
 
+def _require(path: Path) -> Path:
+    if not path.is_file():
+        raise StageError(f"missing {path}; run the earlier stages into this out dir first")
+    return path
+
+
 def save_candidates(records: list[CandidateRecord], path) -> None:
     Path(path).write_text(
         json.dumps([r.to_dict() for r in records], sort_keys=True, indent=2) + "\n",
@@ -434,7 +434,8 @@ def save_candidates(records: list[CandidateRecord], path) -> None:
 
 
 def load_candidates(path) -> list[CandidateRecord]:
-    return [_record_from_dict(d) for d in json.loads(Path(path).read_text(encoding="utf-8"))]
+    text = _require(Path(path)).read_text(encoding="utf-8")
+    return [_record_from_dict(d) for d in json.loads(text)]
 
 
 def save_artifacts(artifacts: dict, out_dir) -> None:
@@ -447,25 +448,31 @@ def save_artifacts(artifacts: dict, out_dir) -> None:
         arrays.update({f"b:{n}": ad.b[n] for n in ad.b})
         np.savez(adir / f"{cid}.adapters.npz",
                  rank=np.int64(ad.rank), alpha=np.float64(ad.alpha), **arrays)
-        (adir / f"{cid}.eval_energy.json").write_text(
-            json.dumps(art["eval_energy"].to_dict(), sort_keys=True), encoding="utf-8"
-        )
 
 
 def load_artifacts(ids: list[str], out_dir) -> dict:
     adir = Path(out_dir) / "artifacts"
     artifacts = {}
     for cid in ids:
-        bundle = load_bundle(adir / f"{cid}.ealm")
-        with np.load(adir / f"{cid}.adapters.npz") as z:
+        bundle = load_bundle(_require(adir / f"{cid}.ealm"))
+        with np.load(_require(adir / f"{cid}.adapters.npz")) as z:
             a = {k[2:]: z[k] for k in z.files if k.startswith("a:")}
             b = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
             adapters = tinylm.LoraAdapters(rank=int(z["rank"]), alpha=float(z["alpha"]), a=a, b=b)
-        eval_energy = report_from_dict(
-            json.loads((adir / f"{cid}.eval_energy.json").read_text(encoding="utf-8"))
-        )
-        artifacts[cid] = {"bundle": bundle, "adapters": adapters, "eval_energy": eval_energy}
+        artifacts[cid] = {"bundle": bundle, "adapters": adapters}
     return artifacts
+
+
+def _eval_energy(baseline: CandidateRecord) -> EnergyReport:
+    """The baseline's loop-1 inference-span energy: loop 2's phi reference."""
+    return report_from_dict(baseline.extra["eval_energy"])
+
+
+def _load_dataset(path) -> list[DatasetRecord]:
+    try:
+        return load_jsonl(path)
+    except Exception as e:
+        raise StageError(f"dataset loading: {e}") from e
 
 
 def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
@@ -474,24 +481,57 @@ def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
     return Meter(config.meter_config())
 
 
+def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
+    """Loop 1; writes candidates_loop1.json and artifacts/."""
+    train_records = _load_dataset(config.train_path)
+    eval_records = _load_dataset(config.eval_path)
+    records, artifacts = run_finetune_grid(config, meter, train_records, eval_records)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_candidates(records, out / "candidates_loop1.json")
+    save_artifacts(artifacts, out)
+    return records
+
+
+def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
+    """Top-k of loop 1 by R; writes topk.json."""
+    out = Path(config.out_dir)
+    ok = [r for r in load_candidates(out / "candidates_loop1.json") if r.status == "ok"]
+    topk = rank_mod.select_top_k(ok, RankingWeights(w=config.w, k=config.k))
+    save_candidates(topk, out / "topk.json")
+    return topk
+
+
+def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
+    """Loop 2 over topk.json's models; writes candidates_loop2.json."""
+    out = Path(config.out_dir)
+    loop1_path = out / "candidates_loop1.json"
+    baseline = next((r for r in load_candidates(loop1_path) if r.baseline), None)
+    if baseline is None:
+        raise StageError(f"{loop1_path} has no baseline candidate")
+    topk = load_candidates(out / "topk.json")
+    artifacts = load_artifacts([r.id for r in topk], out)
+    eval_records = _load_dataset(config.eval_path)
+    records = run_prune_grid(topk, artifacts, config, meter, eval_records,
+                             _eval_energy(baseline))
+    save_candidates(records, out / "candidates_loop2.json")
+    return records
+
+
+def report_stage(config: PipelineConfig) -> dict:
+    """report.json/.csv/.md over loop 1 and, when it has run, loop 2."""
+    out = Path(config.out_dir)
+    records = load_candidates(out / "candidates_loop1.json")
+    loop2_path = out / "candidates_loop2.json"
+    if loop2_path.exists():
+        records += load_candidates(loop2_path)
+    return emit_report(records, config, out)
+
+
 def run_all(config: PipelineConfig, meter: Meter | None = None) -> dict:
     """Full pipeline: fine-tune grid -> top-k -> prune grid -> ranked report."""
     meter = meter or build_meter(config)
-    try:
-        train_records = load_jsonl(config.train_path)
-        eval_records = load_jsonl(config.eval_path)
-    except Exception as e:
-        raise StageError(f"dataset loading: {e}") from e
-    loop1, artifacts = run_finetune_grid(config, meter, train_records, eval_records)
-    ok1 = [r for r in loop1 if r.status == "ok"]
-    topk = rank_mod.select_top_k(ok1, RankingWeights(w=config.w, k=config.k))
-    baseline = next(r for r in ok1 if r.baseline)
-    base_eval_energy = artifacts[baseline.id]["eval_energy"]
-    loop2 = run_prune_grid(topk, artifacts, config, meter, eval_records, base_eval_energy)
-    merged = loop1 + loop2
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_candidates(loop1, out / "candidates_loop1.json")
-    save_candidates(loop2, out / "candidates_loop2.json")
-    save_artifacts(artifacts, out)
-    return emit_report(merged, config, out)
+    finetune_stage(config, meter)
+    rank_stage(config)
+    prune_stage(config, meter)
+    return report_stage(config)

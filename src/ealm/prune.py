@@ -7,6 +7,7 @@ through storage.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -15,7 +16,7 @@ import numpy as np
 
 from .kernels import nm_mask_kernel
 from .quant import default_target_filter, dequantize
-from .tensors import Lineage, ModelBundle, QuantizedTensor
+from .tensors import ModelBundle, QuantizedTensor
 
 
 class PruneError(Exception):
@@ -108,7 +109,7 @@ def nm_mask(values: np.ndarray, n: int, m: int) -> np.ndarray:
         raise PruneError(f"N:M pruning needs a matrix, got rank {values.ndim}")
     if not 0 < n < m:
         raise PruneError(f"need 0 < n < m, got n={n} m={m}")
-    return np.asarray(nm_mask_kernel(np.ascontiguousarray(values, np.float32), n, m), bool)
+    return nm_mask_kernel(np.ascontiguousarray(values, np.float32), n, m)
 
 
 def nm_masks(tensors: dict[str, np.ndarray], n: int, m: int) -> SparsityMask:
@@ -144,15 +145,12 @@ def apply_mask(bundle: ModelBundle, mask: SparsityMask, spec: PruneSpec | None =
             tensors[name] = QuantizedTensor(t.shape, t.bits, codes, t.scales.copy(), t.granularity)
         else:
             tensors[name] = np.where(m, t, t.dtype.type(0)).astype(t.dtype)
-    lineage = Lineage(
-        precision_bits=bundle.lineage.precision_bits,
-        epochs_trained=bundle.lineage.epochs_trained,
+    out = ModelBundle(tensors=tensors, config=bundle.config)
+    out.lineage = dataclasses.replace(
+        bundle.lineage,
         prune=spec.to_dict() if spec is not None else bundle.lineage.prune,
-        parent_id=bundle.lineage.parent_id,
-        sparsity=bundle.lineage.sparsity,
+        sparsity=sparsity(out, spec.target_filter if spec else default_target_filter),
     )
-    out = ModelBundle(tensors=tensors, config=bundle.config, lineage=lineage)
-    out.lineage.sparsity = sparsity(out, spec.target_filter if spec else default_target_filter)
     return out
 
 

@@ -6,14 +6,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .kernels import pack_nibbles, unpack_nibbles
-from .tensors import Lineage, ModelBundle, QuantizedTensor
+from .tensors import ModelBundle, QuantizedTensor
 
 VALID_BITS = (4, 8, 16, 32)
 QMAX = {8: 127, 4: 7}
@@ -107,17 +107,6 @@ def quant_error(arr: np.ndarray, spec: QuantSpec) -> dict:
     return {"max_abs_err": float(np.abs(diff).max()), "mse": float(np.mean(diff**2))}
 
 
-def pack4(codes) -> bytes:
-    codes = np.asarray(codes, dtype=np.int8).reshape(-1)
-    if codes.size and (codes.max() > 7 or codes.min() < -7):
-        raise QuantError("4-bit code out of range [-7, 7]")
-    return pack_nibbles(codes).tobytes()
-
-
-def unpack4(data: bytes, n: int) -> np.ndarray:
-    return np.asarray(unpack_nibbles(np.frombuffer(data, dtype=np.uint8), n), dtype=np.int8)
-
-
 def quantize_bundle(bundle: ModelBundle, spec: QuantSpec) -> ModelBundle:
     if bundle.lineage.precision_bits != 32:
         raise QuantError(
@@ -129,11 +118,5 @@ def quantize_bundle(bundle: ModelBundle, spec: QuantSpec) -> ModelBundle:
             tensors[name] = quantize(t, spec)
         else:
             tensors[name] = t
-    lineage = Lineage(
-        precision_bits=spec.bits,
-        epochs_trained=bundle.lineage.epochs_trained,
-        prune=bundle.lineage.prune,
-        parent_id=bundle.lineage.parent_id,
-        sparsity=bundle.lineage.sparsity,
-    )
+    lineage = dataclasses.replace(bundle.lineage, precision_bits=spec.bits)
     return ModelBundle(tensors=tensors, config=bundle.config, lineage=lineage)

@@ -105,9 +105,6 @@ class QuantizedTensor:
         return int(np.prod(self.shape))
 
 
-Tensorlike = "np.ndarray | QuantizedTensor"
-
-
 @dataclass
 class Lineage:
     precision_bits: int = 32
@@ -213,8 +210,7 @@ def _decode_payload(name: str, dtype_code: int, dims: tuple[int, ...], payload: 
         elif dtype_code == DTYPE_I4:
             if len(body) != math.ceil(n / 2):
                 raise ValueError
-            codes = unpack_nibbles(np.frombuffer(body, dtype=np.uint8), n)
-            codes = np.asarray(codes, dtype=np.int8).reshape(dims)
+            codes = unpack_nibbles(np.frombuffer(body, dtype=np.uint8), n).reshape(dims)
             bits = 4
         else:
             raise BundleFormatError(f"unknown dtype code {dtype_code}")

@@ -8,6 +8,7 @@ next-token cross-entropy, updating the adapter factors A and B exclusively.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -389,7 +390,7 @@ def merge_adapters(bundle: ModelBundle, adapters: LoraAdapters) -> ModelBundle:
         else:
             tensors[name] = t
     return ModelBundle(tensors=tensors, config=bundle.config,
-                       lineage=Lineage(**bundle.lineage.to_dict()))
+                       lineage=dataclasses.replace(bundle.lineage))
 
 
 def count_flops_and_skipped(bundle: ModelBundle, tokens) -> dict:

@@ -15,9 +15,7 @@ from ealm.meter import (
     load_trace,
     meter_from_spec,
     read_powercap_counter,
-    read_powercap_max_range,
     report_from_dict,
-    to_co2e,
 )
 
 
@@ -139,7 +137,6 @@ def powercap_dir(tmp_path, uj=5_000_000, max_range=262143328850):
 def test_powercap_counter_reads(tmp_path):
     counter = powercap_dir(tmp_path)
     assert read_powercap_counter(counter) == 5_000_000
-    assert read_powercap_max_range(counter) == 262143328850
     with pytest.raises(MeterSourceError):
         read_powercap_counter(tmp_path / "missing")
     bad = tmp_path / "bad"
@@ -180,9 +177,6 @@ def test_units_and_co2():
     rep = EnergyReport(joules={"cpu": 3.6e6}, duration_s=10.0, carbon_intensity=0.5)
     assert rep.kwh == pytest.approx(1.0, abs=1e-12)
     assert rep.co2e_kg == pytest.approx(0.5, abs=1e-12)
-    assert to_co2e(2.0, 0.475) == pytest.approx(0.95, abs=1e-12)
-    with pytest.raises(MeterError):
-        to_co2e(-1.0, 0.475)
 
 
 def test_report_dict_roundtrip():
@@ -201,6 +195,15 @@ def test_meter_from_spec(tmp_path):
     assert m.config.source == "trace-replay"
     with pytest.raises(MeterError):
         meter_from_spec("solar")
+
+
+def test_meter_from_spec_leaves_config_unchanged(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text("0.0,cpu,1.0\n1.0,cpu,1.0\n")
+    cfg = MeterConfig(source="constant-power", constant_watts={"cpu": 5.0})
+    for spec in ("powercap", f"trace:{trace}", "constant"):
+        meter_from_spec(spec, cfg)
+        assert cfg == MeterConfig(source="constant-power", constant_watts={"cpu": 5.0})
 
 
 def test_bad_config():

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -193,10 +194,17 @@ def test_cli_run_all_smoke(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-def test_cli_staged_flow(tmp_path):
-    cfg = make_config(tmp_path)
+def write_trace_config(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0.0,cpu,10.0\n1.0,cpu,10.0\n")
+    cfg = make_config(tmp_path, meter={"source": "trace-replay", "trace_path": str(trace)})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
+    return cfg, cfg_path
+
+
+def test_cli_staged_flow(tmp_path):
+    cfg, cfg_path = write_trace_config(tmp_path)
     args = ["--config", str(cfg_path)]
     assert cli.main(["finetune-grid"] + args) == 0
     assert cli.main(["rank"] + args) == 0
@@ -207,6 +215,51 @@ def test_cli_staged_flow(tmp_path):
     assert (out / "report.md").exists()
     loop2 = json.loads((out / "candidates_loop2.json").read_text())
     assert len(loop2) == cfg.k * (1 + len(cfg.prune_ratios) + len(cfg.nm_patterns))
+
+    # run-all writes the same staged files the stage commands resume from
+    assert cli.main(["run-all"] + args + ["--out", str(tmp_path / "out2")]) == 0
+    for name in ("candidates_loop1.json", "topk.json", "candidates_loop2.json"):
+        staged = json.loads((out / name).read_text())
+        whole = json.loads((tmp_path / "out2" / name).read_text())
+        assert scrub_volatile(whole) == scrub_volatile(staged), name
+
+
+@pytest.fixture(scope="module")
+def ranked_state(tmp_path_factory):
+    """A config plus the out dir that finetune-grid and rank leave behind."""
+    root = tmp_path_factory.mktemp("ranked")
+    cfg, cfg_path = write_trace_config(root)
+    assert cli.main(["finetune-grid", "--config", str(cfg_path)]) == 0
+    assert cli.main(["rank", "--config", str(cfg_path)]) == 0
+    topk = json.loads((root / "out" / "topk.json").read_text())
+    return cfg_path, root / "out", topk[0]["id"]
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("rank", "candidates_loop1.json"),
+    ("prune-grid", "candidates_loop1.json"),
+    ("prune-grid", "topk.json"),
+    ("prune-grid", "artifacts/{top}.ealm"),
+    ("prune-grid", "artifacts/{top}.adapters.npz"),
+    ("prune-grid", None),  # candidates_loop1.json is there but has no baseline
+    ("report", "candidates_loop1.json"),
+])
+def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, command, missing):
+    cfg_path, ranked_out, top = ranked_state
+    out = tmp_path / "out"
+    shutil.copytree(ranked_out, out)
+    if missing:
+        victim = out / missing.format(top=top)
+        victim.unlink()
+    else:
+        victim = out / "candidates_loop1.json"
+        victim.write_text(json.dumps(
+            [dict(c, baseline=False) for c in json.loads(victim.read_text())]))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage error:")
+    assert victim.name in err
 
 
 def test_meter_config_from_pipeline():

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ealm.quant import (
     QuantError,
     QuantSpec,
     default_target_filter,
     dequantize,
-    pack4,
     quant_error,
     quantize,
     quantize_bundle,
-    unpack4,
 )
 from ealm.tensors import LmConfig, QuantizedTensor, payload_bytes
 from ealm.tinylm import init_model
@@ -93,22 +89,6 @@ def test_binary16_matches_reference_oracle():
         got = vals.astype(np.float16).view(np.uint16)
     want = np.asarray([f32_to_f16_bits(v) for v in vals], dtype=np.uint16)
     assert np.array_equal(got, want)
-
-
-def test_pack4_examples():
-    assert pack4(np.asarray([3, -1], np.int8)) == b"\xf3"
-    assert pack4(np.asarray([], np.int8)) == b""
-    single = pack4(np.asarray([5], np.int8))
-    assert len(single) == 1 and single[0] >> 4 == 0
-    with pytest.raises(QuantError):
-        pack4(np.asarray([8], np.int8))
-
-
-@given(st.lists(st.integers(min_value=-7, max_value=7), max_size=64))
-@settings(max_examples=200, deadline=None)
-def test_pack4_roundtrip(codes):
-    arr = np.asarray(codes, dtype=np.int8)
-    assert unpack4(pack4(arr), len(codes)).tolist() == codes
 
 
 def test_quantize_bundle_targets_and_lineage():
