@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 stage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -18,21 +19,11 @@ EXIT_STAGE = 3
 
 
 def _load_config(args) -> pl.PipelineConfig:
-    if args.config:
-        cfg = pl.PipelineConfig.from_file(args.config)
-    else:
-        cfg = pl.PipelineConfig()
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "w", None) is not None:
-        if not 0 <= args.w <= 1:
-            raise pl.ConfigError(f"--w must be in [0, 1], got {args.w}")
-        cfg.w = args.w
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
-    return cfg
+    """The config file (or defaults) with the command-line overrides applied;
+    `PipelineConfig` validates both the same way."""
+    cfg = pl.PipelineConfig.from_file(args.config) if args.config else pl.PipelineConfig()
+    overrides = {"out_dir": args.out, "seed": args.seed, "w": args.w, "k": args.k}
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _build_meter(cfg: pl.PipelineConfig, args):

@@ -135,7 +135,6 @@ class SpanHandle:
     def __init__(self, started: float, state):
         self.started = started
         self.state = state
-        self.open = True
 
 
 class Meter:
@@ -151,7 +150,7 @@ class Meter:
             self._trace_joules = integrate(load_trace(config.trace_path))
 
     def start_span(self) -> SpanHandle:
-        if self._active is not None and self._active.open:
+        if self._active is not None:
             raise MeterUsageError("spans do not nest: a span is already active")
         started = self.clock()
         state = None
@@ -163,9 +162,8 @@ class Meter:
         return handle
 
     def stop_span(self, handle: SpanHandle) -> EnergyReport:
-        if not handle.open:
+        if handle is not self._active:
             raise MeterUsageError("span already stopped")
-        handle.open = False
         self._active = None
         duration = self.clock() - handle.started
         joules = {d: 0.0 for d in DOMAINS}
@@ -180,6 +178,17 @@ class Meter:
             joules=joules, duration_s=duration,
             carbon_intensity=self.config.carbon_intensity,
         )
+
+    def measure(self, fn, *args):
+        """Runs `fn(*args)` in one span and returns (result, EnergyReport).
+        The span closes, and a powercap sampler thread is joined, however
+        `fn` exits."""
+        span = self.start_span()
+        try:
+            result = fn(*args)
+        finally:
+            energy = self.stop_span(span)
+        return result, energy
 
 
 class _PowercapSampler:

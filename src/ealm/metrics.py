@@ -70,16 +70,7 @@ def bleu(candidate, references, max_n: int = 4) -> float:
         raise MetricError("candidate must be nonempty")
     if not references:
         raise MetricError("reference set must be nonempty")
-    log_p = 0.0
-    for n in range(1, max_n + 1):
-        clipped, total = _clipped_counts(candidate, references, n)
-        if clipped == 0:
-            return 0.0
-        log_p += math.log(clipped / total)
-    c = len(candidate)
-    r = _closest_ref_length(candidate, references)
-    bp = min(1.0, math.exp(1.0 - r / c))
-    return bp * math.exp(log_p / max_n)
+    return corpus_bleu([(candidate, references)], max_n)
 
 
 def corpus_bleu(pairs, max_n: int = 4) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .meter import (
     meter_from_spec,
     report_from_dict,
 )
-from .metrics import MetricScores, score_outputs
+from .metrics import MetricError, MetricScores, score_outputs
 from .rank import CandidateRecord, RankingWeights
 from .tensors import LmConfig, ModelBundle, load_bundle, payload_bytes, save_bundle
 
@@ -88,12 +87,8 @@ class PipelineConfig:
         )
 
     def meter_config(self) -> MeterConfig:
-        d = dict(self.meter)
-        d.setdefault("source", "constant-power")
-        if "nm_patterns" in d:
-            raise ConfigError("meter config got pipeline keys")
         try:
-            return MeterConfig(**d)
+            return MeterConfig(**self.meter)
         except TypeError as e:
             raise ConfigError(f"bad meter config: {e}") from e
 
@@ -133,11 +128,8 @@ def _encode_train(records: list[DatasetRecord], max_seq: int) -> list[list[int]]
     return [tinylm.encode_example(r.prompt, r.reference)[:max_seq] for r in records]
 
 
-def evaluate_model(model: tinylm.TinyLm, adapters, eval_records, meter: Meter,
-                   max_new: int) -> tuple[MetricScores, EnergyReport]:
-    """Metered greedy decoding over the eval set, then metric scoring."""
-    span = meter.start_span()
-    t0 = time.monotonic()
+def _decode_all(model: tinylm.TinyLm, adapters, eval_records, max_new: int):
+    """Greedy decoding of every eval prompt: ((text, reference) pairs, tokens)."""
     pairs = []
     n_generated = 0
     for rec in eval_records:
@@ -146,9 +138,16 @@ def evaluate_model(model: tinylm.TinyLm, adapters, eval_records, meter: Meter,
         generated = out[len(prompt_ids):]
         n_generated += len(generated)
         pairs.append((tinylm.decode_ids(generated), rec.reference))
-    wall = max(time.monotonic() - t0, 1e-9)
-    energy = meter.stop_span(span)
-    scores = score_outputs(pairs, n_generated, wall)
+    return pairs, n_generated
+
+
+def evaluate_model(model: tinylm.TinyLm, adapters, eval_records, meter: Meter,
+                   max_new: int) -> tuple[MetricScores, EnergyReport]:
+    """Metered greedy decoding over the eval set, then metric scoring.
+    Throughput and energy read the same span clock."""
+    (pairs, n_generated), energy = meter.measure(
+        _decode_all, model, adapters, eval_records, max_new)
+    scores = score_outputs(pairs, n_generated, max(energy.duration_s, 1e-9))
     return scores, energy
 
 
@@ -178,9 +177,10 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                 model = tinylm.TinyLm(bundle)
                 train_recs = []
                 for e in range(1, epochs + 1):
-                    adapters, tr = tinylm.train_epoch(
-                        model, adapters, sequences, config.lr, meter=meter, epoch=e
+                    (adapters, tr), tr_energy = meter.measure(
+                        tinylm.train_epoch, model, adapters, sequences, config.lr, e
                     )
+                    tr.energy = tr_energy
                     train_recs.append(tr)
                 scores, eval_energy = evaluate_model(
                     model, adapters, eval_records, meter, config.max_new_tokens
@@ -197,7 +197,7 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                            "eval_energy": eval_energy.to_dict()},
                 )
                 artifacts[cid] = {"bundle": bundle, "adapters": adapters}
-            except Exception as e:  # candidate failure is recorded, not fatal
+            except CANDIDATE_ERRORS as e:
                 rec = _failed(cid, lineage, "finetune", e)
             records.append(rec)
     ok = [r for r in records if r.status == "ok"]
@@ -224,6 +224,12 @@ def _score(records: list[CandidateRecord], w: float, ref_energy: EnergyReport) -
         rec.rho = rank_mod.performance_score(rec.scores)
         rec.phi = rank_mod.efficiency_score(rec.energy, ref_energy)
         rec.r_score = rank_mod.rank_score(rec.phi, rec.rho, w)
+
+
+# What one candidate's own work can raise: it is recorded as a failed
+# candidate and the grid goes on. Anything else (a bug, a meter failure)
+# stops the run.
+CANDIDATE_ERRORS = (tinylm.LmError, quant_mod.QuantError, prune_mod.PruneError, MetricError)
 
 
 def _failed(cid: str, lineage: dict, stage: str, exc: Exception) -> CandidateRecord:
@@ -280,7 +286,7 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
                     extra={"payload_bytes": payload_bytes(pruned),
                            "sparsity": prune_mod.sparsity(pruned)},
                 )
-            except Exception as e:  # candidate failure is recorded, not fatal
+            except CANDIDATE_ERRORS as e:
                 rec = _failed(cid, lineage, "prune", e)
             records.append(rec)
     ok = [r for r in records if r.status == "ok"]
@@ -402,24 +408,6 @@ def emit_report(records: list[CandidateRecord], config: PipelineConfig, out_dir)
 # files in out_dir, so `run_all` and the stage commands share one path.
 
 
-def _record_from_dict(d: dict) -> CandidateRecord:
-    rec = CandidateRecord(
-        id=d["id"], lineage=d["lineage"],
-        scores=MetricScores(**d["scores"]) if d.get("scores") else None,
-        energy=report_from_dict(d["energy"]) if d.get("energy") else None,
-        phi=d.get("phi", 0.0), rho=d.get("rho", 0.0), r_score=d.get("R", 0.0),
-        baseline=d.get("baseline", False), stage=d.get("stage", "finetune"),
-        status=d.get("status", "ok"), error=d.get("error"),
-        extra=d.get("extra", {}),
-    )
-    for tr in d.get("train_records", []):
-        rec.train_records.append(tinylm.TrainRecord(
-            epoch=tr["epoch"], loss=tr["loss"],
-            energy=report_from_dict(tr["energy"]) if tr.get("energy") else None,
-        ))
-    return rec
-
-
 def _require(path: Path) -> Path:
     if not path.is_file():
         raise StageError(f"missing {path}; run the earlier stages into this out dir first")
@@ -435,7 +423,7 @@ def save_candidates(records: list[CandidateRecord], path) -> None:
 
 def load_candidates(path) -> list[CandidateRecord]:
     text = _require(Path(path)).read_text(encoding="utf-8")
-    return [_record_from_dict(d) for d in json.loads(text)]
+    return [CandidateRecord.from_dict(d) for d in json.loads(text)]
 
 
 def save_artifacts(artifacts: dict, out_dir) -> None:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .meter import EnergyReport
+from .meter import EnergyReport, report_from_dict
 from .metrics import MetricScores
+from .tinylm import TrainRecord
 
 
 class RankError(Exception):
@@ -68,6 +69,23 @@ class CandidateRecord:
             ],
             "extra": self.extra,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CandidateRecord":
+        def energy(obj):
+            return report_from_dict(obj["energy"]) if obj.get("energy") else None
+
+        return cls(
+            id=d["id"], lineage=d["lineage"],
+            scores=MetricScores(**d["scores"]) if d.get("scores") else None,
+            energy=energy(d),
+            phi=d.get("phi", 0.0), rho=d.get("rho", 0.0), r_score=d.get("R", 0.0),
+            baseline=d.get("baseline", False), stage=d.get("stage", "finetune"),
+            status=d.get("status", "ok"), error=d.get("error"),
+            train_records=[TrainRecord(epoch=tr["epoch"], loss=tr["loss"], energy=energy(tr))
+                           for tr in d.get("train_records", [])],
+            extra=d.get("extra", {}),
+        )
 
 
 def performance_score(scores: MetricScores) -> float:

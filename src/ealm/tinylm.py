@@ -120,7 +120,7 @@ def init_adapters(config: LmConfig, rank: int = 4, alpha: float = 8.0, seed: int
 class TrainRecord:
     epoch: int
     loss: float
-    energy: object | None = None  # EnergyReport when the epoch was metered
+    energy: object | None = None  # EnergyReport; the caller fills it in
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +334,12 @@ def forward(bundle: ModelBundle, adapters: LoraAdapters | None, tokens) -> np.nd
 
 
 def train_epoch(bundle_or_model, adapters: LoraAdapters, sequences, lr: float,
-                meter=None, epoch: int = 0):
+                epoch: int = 0):
     """One pass of plain gradient descent: a GD step per sequence, in dataset
     order. Returns (new adapters, record with the token-mean pass loss)."""
     model = bundle_or_model if isinstance(bundle_or_model, TinyLm) else TinyLm(bundle_or_model)
     if not sequences:
         raise LmError("empty training dataset")
-    span = meter.start_span() if meter is not None else None
     total_nll = 0.0
     n_pred = 0
     for seq in sequences:
@@ -354,8 +353,7 @@ def train_epoch(bundle_or_model, adapters: LoraAdapters, sequences, lr: float,
         n_pred += len(seq) - 1
     if n_pred == 0:
         raise LmError("no predictable tokens in dataset")
-    energy = meter.stop_span(span) if meter is not None else None
-    return adapters, TrainRecord(epoch=epoch, loss=total_nll / n_pred, energy=energy)
+    return adapters, TrainRecord(epoch=epoch, loss=total_nll / n_pred)
 
 
 def greedy_decode(bundle_or_model, adapters: LoraAdapters | None, prompt, max_new: int) -> list[int]:

@@ -167,6 +167,24 @@ def test_powercap_span_handles_wraparound(tmp_path):
     assert rep.joules["cpu"] == pytest.approx(3.0, abs=1e-6)
 
 
+def test_measure_closes_span_when_fn_raises(tmp_path):
+    counter = powercap_dir(tmp_path)
+    meter = Meter(MeterConfig(source="powercap", sampling_interval_s=0.01,
+                              powercap_paths={"cpu": str(counter)}))
+    samplers = []
+
+    def boom():
+        samplers.append(meter._active.state)
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        meter.measure(boom)
+    assert not samplers[0]._thread.is_alive()
+    result, rep = meter.measure(lambda x: x + 1, 41)  # a new span starts
+    assert result == 42
+    assert rep.joules["cpu"] == 0.0
+
+
 def test_powercap_needs_paths():
     meter = Meter(MeterConfig(source="powercap"))
     with pytest.raises(MeterSourceError):

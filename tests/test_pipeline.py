@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from ealm import cli
+from ealm import cli, tinylm
 from ealm import pipeline as pl
 from ealm.data import generate_synthetic_corpus, save_jsonl
 from ealm.meter import Meter
@@ -158,6 +158,52 @@ def test_stage_error_when_datasets_missing(tmp_path):
         pl.run_all(cfg)
 
 
+def test_divergence_fails_only_its_candidate(tmp_path, monkeypatch):
+    original = tinylm.TinyLm.loss_and_grads
+    calls = []
+
+    def diverge_once(self, sequences, adapters):
+        calls.append(1)
+        if len(calls) == 1:
+            raise tinylm.DivergenceError("injected")
+        return original(self, sequences, adapters)
+
+    monkeypatch.setattr(tinylm.TinyLm, "loss_and_grads", diverge_once)
+    payload = pl.run_all(make_config(tmp_path))
+    cands = {c["id"]: c for c in payload["candidates"]}
+    assert [i for i, c in cands.items() if c["status"] == "failed"] == ["ft-b4-e1"]
+    assert cands["ft-b4-e1"]["error"].startswith("DivergenceError")
+    assert payload["baseline_id"] == "ft-b32-e1"
+    loop2 = [c for c in cands.values() if c["stage"] == "prune"]
+    assert len(loop2) == 3
+    assert {c["lineage"]["parent_id"] for c in loop2} == {"ft-b32-e1"}
+
+
+def test_prune_error_fails_only_its_variant(tmp_path, monkeypatch):
+    original = pl.prune_mod.prune_bundle
+
+    def no_nm(bundle, spec):
+        if spec.method == "structured-nm":
+            raise pl.prune_mod.PruneError("injected")
+        return original(bundle, spec)
+
+    monkeypatch.setattr(pl.prune_mod, "prune_bundle", no_nm)
+    payload = pl.run_all(make_config(tmp_path))
+    failed = [c for c in payload["candidates"] if c["status"] == "failed"]
+    assert len(failed) == 1
+    assert failed[0]["id"].endswith("-nm2x4")
+    assert failed[0]["error"] == "PruneError: injected"
+
+
+def test_programming_error_in_candidate_stops_the_run(tmp_path, monkeypatch):
+    def broken(*args):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(tinylm, "greedy_decode", broken)
+    with pytest.raises(TypeError, match="injected"):
+        pl.run_all(make_config(tmp_path))
+
+
 def test_cli_gen_data_and_stats(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     assert cli.main(["gen-data", "--out", str(out), "--n", "6", "--seed", "1"]) == 0
@@ -184,6 +230,12 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["run-all", "--config", str(missing_data)]) == 3
 
     assert cli.main(["run-all", "--config", str(bad_cfg), "--w", "2.0"]) == 2
+
+    # an override is validated like the config file, before any training
+    good_cfg = tmp_path / "good.json"
+    good_cfg.write_text(json.dumps(make_config(tmp_path).to_dict()))
+    assert cli.main(["run-all", "--config", str(good_cfg), "--k", "0"]) == 2
+    assert not (tmp_path / "out" / "candidates_loop1.json").exists()
 
 
 def test_cli_run_all_smoke(tmp_path):
