@@ -1,6 +1,7 @@
 """Command-line interface for the energy/performance pipeline.
 
-Exit codes: 0 success, 2 configuration error, 3 stage error.
+Exit codes: 0 success, 2 configuration error, 3 stage error. Any other
+exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import json
 import sys
 
 from . import pipeline as pl
-from .data import dataset_stats, generate_synthetic_corpus, load_jsonl, save_jsonl
+from .data import DataError, dataset_stats, generate_synthetic_corpus, load_jsonl, save_jsonl
+from .meter import MeterError
+from .rank import RankError
+from .tensors import BundleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,7 +128,8 @@ def main(argv=None) -> int:
     except pl.StageError as e:
         print(f"stage error: {e}", file=sys.stderr)
         return EXIT_STAGE
-    except Exception as e:
+    except (DataError, MeterError, RankError, BundleError, OSError) as e:
+        # a failed input, output or meter; anything else is a bug and keeps its traceback
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_STAGE
 

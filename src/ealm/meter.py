@@ -147,7 +147,11 @@ class Meter:
         if config.source == "trace-replay":
             if not config.trace_path:
                 raise MeterError("trace-replay source needs trace_path")
-            self._trace_joules = integrate(load_trace(config.trace_path))
+            try:
+                samples = load_trace(config.trace_path)
+            except (OSError, ValueError) as e:
+                raise MeterError(f"cannot read trace {config.trace_path}: {e}") from e
+            self._trace_joules = integrate(samples)
 
     def start_span(self) -> SpanHandle:
         if self._active is not None:

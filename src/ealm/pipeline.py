@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,18 +18,20 @@ from . import prune as prune_mod
 from . import quant as quant_mod
 from . import rank as rank_mod
 from . import tinylm
-from .data import DatasetRecord, load_jsonl
+from .data import DataError, DatasetRecord, load_jsonl
 from .meter import (
     EnergyReport,
     Meter,
     MeterConfig,
+    MeterError,
     combine_reports,
     meter_from_spec,
     report_from_dict,
 )
 from .metrics import MetricError, MetricScores, score_outputs
 from .rank import CandidateRecord, RankingWeights
-from .tensors import LmConfig, ModelBundle, load_bundle, payload_bytes, save_bundle
+from .tensors import (BundleError, LmConfig, ModelBundle, load_bundle, payload_bytes,
+                      save_bundle, write_atomic)
 
 import numpy as np
 
@@ -79,6 +83,10 @@ class PipelineConfig:
             raise ConfigError(f"w must be in [0, 1], got {self.w}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        try:
+            self.lm_config()
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"bad model shape: {e}") from e
 
     def lm_config(self) -> LmConfig:
         return LmConfig(
@@ -112,13 +120,13 @@ class PipelineConfig:
         text = Path(path).read_text(encoding="utf-8")
         if str(path).endswith((".yaml", ".yml")):
             import yaml
-
-            obj = yaml.safe_load(text)
+            parse, syntax_error = yaml.safe_load, yaml.YAMLError
         else:
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: not valid JSON: {e}") from e
+            parse, syntax_error = json.loads, json.JSONDecodeError
+        try:
+            obj = parse(text)
+        except syntax_error as e:
+            raise ConfigError(f"{path}: cannot parse: {e}") from e
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: config must be a mapping")
         return cls.from_dict(obj)
@@ -408,22 +416,23 @@ def emit_report(records: list[CandidateRecord], config: PipelineConfig, out_dir)
 # files in out_dir, so `run_all` and the stage commands share one path.
 
 
-def _require(path: Path) -> Path:
-    if not path.is_file():
-        raise StageError(f"missing {path}; run the earlier stages into this out dir first")
-    return path
+def _unreadable(path, exc: Exception) -> StageError:
+    """A staged input that is missing or cut short."""
+    return StageError(f"cannot read {path} ({type(exc).__name__}: {exc}); "
+                      "run the earlier stages into this out dir first")
 
 
 def save_candidates(records: list[CandidateRecord], path) -> None:
-    Path(path).write_text(
-        json.dumps([r.to_dict() for r in records], sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps([r.to_dict() for r in records], sort_keys=True, indent=2) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def load_candidates(path) -> list[CandidateRecord]:
-    text = _require(Path(path)).read_text(encoding="utf-8")
-    return [CandidateRecord.from_dict(d) for d in json.loads(text)]
+    try:
+        return [CandidateRecord.from_dict(d)
+                for d in json.loads(Path(path).read_text(encoding="utf-8"))]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise _unreadable(path, e) from e
 
 
 def save_artifacts(artifacts: dict, out_dir) -> None:
@@ -434,19 +443,25 @@ def save_artifacts(artifacts: dict, out_dir) -> None:
         ad = art["adapters"]
         arrays = {f"a:{n}": ad.a[n] for n in ad.a}
         arrays.update({f"b:{n}": ad.b[n] for n in ad.b})
-        np.savez(adir / f"{cid}.adapters.npz",
-                 rank=np.int64(ad.rank), alpha=np.float64(ad.alpha), **arrays)
+        buf = io.BytesIO()  # np.savez appends ".npz" to a path, so write the bytes ourselves
+        np.savez(buf, rank=np.int64(ad.rank), alpha=np.float64(ad.alpha), **arrays)
+        write_atomic(adir / f"{cid}.adapters.npz", buf.getvalue())
 
 
 def load_artifacts(ids: list[str], out_dir) -> dict:
     adir = Path(out_dir) / "artifacts"
     artifacts = {}
     for cid in ids:
-        bundle = load_bundle(_require(adir / f"{cid}.ealm"))
-        with np.load(_require(adir / f"{cid}.adapters.npz")) as z:
-            a = {k[2:]: z[k] for k in z.files if k.startswith("a:")}
-            b = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
-            adapters = tinylm.LoraAdapters(rank=int(z["rank"]), alpha=float(z["alpha"]), a=a, b=b)
+        path = adir / f"{cid}.ealm"
+        try:
+            bundle = load_bundle(path)
+            path = adir / f"{cid}.adapters.npz"
+            with np.load(path) as z:
+                a = {k[2:]: z[k] for k in z.files if k.startswith("a:")}
+                b = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
+                adapters = tinylm.LoraAdapters(int(z["rank"]), float(z["alpha"]), a, b)
+        except (OSError, BundleError, zipfile.BadZipFile) as e:
+            raise _unreadable(path, e) from e
         artifacts[cid] = {"bundle": bundle, "adapters": adapters}
     return artifacts
 
@@ -459,14 +474,18 @@ def _eval_energy(baseline: CandidateRecord) -> EnergyReport:
 def _load_dataset(path) -> list[DatasetRecord]:
     try:
         return load_jsonl(path)
-    except Exception as e:
+    except DataError as e:
         raise StageError(f"dataset loading: {e}") from e
 
 
 def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
-    if override:
-        return meter_from_spec(override, config.meter_config())
-    return Meter(config.meter_config())
+    """The `--meter` spec's or the config's meter; a bad setting is a ConfigError."""
+    try:
+        if override:
+            return meter_from_spec(override, config.meter_config())
+        return Meter(config.meter_config())
+    except MeterError as e:
+        raise ConfigError(f"bad meter config: {e}") from e
 
 
 def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class PruneSpec:
     n: int | None = None
     m: int | None = None
     scope: str = "per-tensor"  # "per-tensor" | "global"
-    target_filter: Callable[[str], bool] = field(default=default_target_filter)
 
     def __post_init__(self):
         if self.method == "unstructured-magnitude":
@@ -122,9 +120,7 @@ def nm_masks(tensors: dict[str, np.ndarray], n: int, m: int) -> SparsityMask:
 
 
 def build_mask(bundle: ModelBundle, spec: PruneSpec) -> SparsityMask:
-    targets = {
-        name: t for name, t in bundle.tensors.items() if spec.target_filter(name)
-    }
+    targets = {name: t for name, t in bundle.tensors.items() if default_target_filter(name)}
     if spec.method == "unstructured-magnitude":
         return magnitude_masks(targets, spec.ratio, spec.scope)
     return nm_masks(targets, spec.n, spec.m)
@@ -149,15 +145,15 @@ def apply_mask(bundle: ModelBundle, mask: SparsityMask, spec: PruneSpec | None =
     out.lineage = dataclasses.replace(
         bundle.lineage,
         prune=spec.to_dict() if spec is not None else bundle.lineage.prune,
-        sparsity=sparsity(out, spec.target_filter if spec else default_target_filter),
+        sparsity=sparsity(out),
     )
     return out
 
 
-def sparsity(bundle: ModelBundle, target_filter: Callable[[str], bool] = default_target_filter) -> float:
+def sparsity(bundle: ModelBundle) -> float:
     total = zeros = 0
     for name, t in bundle.tensors.items():
-        if not target_filter(name):
+        if not default_target_filter(name):
             continue
         if isinstance(t, QuantizedTensor):
             vals = t.codes

@@ -7,18 +7,14 @@
 from __future__ import annotations
 
 import dataclasses
-import re
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import ModelBundle, QuantizedTensor
+from .tensors import WEIGHT_MATRICES, ModelBundle, QuantizedTensor
 
 VALID_BITS = (4, 8, 16, 32)
 QMAX = {8: 127, 4: 7}
-
-_WEIGHT_MATRIX_RE = re.compile(r"\.(attn\.w[qkvo]|mlp\.w[12])$")
 
 
 class QuantError(Exception):
@@ -27,14 +23,13 @@ class QuantError(Exception):
 
 def default_target_filter(name: str) -> bool:
     """Attention and MLP weight matrices; embeddings, norms, head excluded."""
-    return _WEIGHT_MATRIX_RE.search(name) is not None
+    return name.startswith("layers.") and name.split(".", 2)[-1] in WEIGHT_MATRICES
 
 
 @dataclass
 class QuantSpec:
     bits: int
     granularity: str = "per-row"  # "per-tensor" | "per-row"
-    target_filter: Callable[[str], bool] = field(default=default_target_filter)
 
     def __post_init__(self):
         if self.bits not in VALID_BITS:
@@ -114,7 +109,7 @@ def quantize_bundle(bundle: ModelBundle, spec: QuantSpec) -> ModelBundle:
         )
     tensors = {}
     for name, t in bundle.tensors.items():
-        if spec.target_filter(name) and isinstance(t, np.ndarray):
+        if default_target_filter(name) and isinstance(t, np.ndarray):
             tensors[name] = quantize(t, spec)
         else:
             tensors[name] = t

@@ -10,8 +10,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +40,10 @@ class BundleCorruptionError(BundleError):
     """Truncated or inconsistent payload; names the offending tensor."""
 
 
+# What the pipeline quantizes, adapts and prunes: `layers.{i}.<matrix>` for each.
+WEIGHT_MATRICES = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2")
+
+
 @dataclass(frozen=True)
 class LmConfig:
     """Architecture metadata for the tiny decoder-only LM."""
@@ -51,11 +57,11 @@ class LmConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for f in ("d_model", "n_layers", "n_heads", "d_ff", "max_seq", "vocab_size"):
             if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         d, v = self.d_model, self.vocab_size
@@ -244,10 +250,20 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     chunks.append(struct.pack("<Q", len(meta)))
     chunks.append(meta)
     try:
-        with open(path, "wb") as f:
-            f.write(b"".join(chunks))
+        write_atomic(path, b"".join(chunks))
     except OSError as e:
         raise BundleError(f"cannot write bundle to {path}: {e}") from e
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Writes `data` beside `path`, then renames it over `path`: a reader sees
+    the previous file or the whole new one, even if the writer dies."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once the rename succeeded
 
 
 class _Reader:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quant import default_target_filter, dequantize
-from .tensors import Lineage, LmConfig, ModelBundle, QuantizedTensor
+from .tensors import WEIGHT_MATRICES, Lineage, LmConfig, ModelBundle, QuantizedTensor
 
 PAD_ID = 256
 BOS_ID = 257
@@ -143,6 +143,15 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
 
 
+def _nll(logits: np.ndarray, seq):
+    """Summed next-token negative log-likelihood of `seq` under `logits`,
+    plus the softmax rows and targets its gradient needs."""
+    targets = np.asarray(seq[1:], dtype=np.int64)
+    probs = _softmax(logits[:-1])
+    picked = probs[np.arange(targets.size), targets]
+    return float(-np.sum(np.log(np.maximum(picked, 1e-30), dtype=np.float64))), probs, targets
+
+
 def _layernorm(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -167,9 +176,8 @@ class TinyLm:
     def __init__(self, bundle: ModelBundle):
         self.config = bundle.config
         self.w = {name: dequantize(t) for name, t in bundle.tensors.items()}
-        d = self.config.d_model
         self.n_heads = self.config.n_heads
-        self.d_head = d // self.n_heads
+        self.d_head = self.config.d_model // self.n_heads
 
     def _eff(self, name: str, adapters: LoraAdapters | None) -> np.ndarray:
         w = self.w[name]
@@ -197,42 +205,28 @@ class TinyLm:
     def forward_cached(self, tokens, adapters: LoraAdapters | None = None):
         ids = self._check_tokens(tokens)
         T = ids.size
-        cfg = self.config
-        x = self.w["tok_emb"][ids] + self.w["pos_emb"][:T]
-        x = x.astype(np.float32)
+        x = (self.w["tok_emb"][ids] + self.w["pos_emb"][:T]).astype(np.float32)
         causal = np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1)
         layers = []
-        for i in range(cfg.n_layers):
+        for i in range(self.config.n_layers):
             p = f"layers.{i}."
-            wq = self._eff(p + "attn.wq", adapters)
-            wk = self._eff(p + "attn.wk", adapters)
-            wv = self._eff(p + "attn.wv", adapters)
-            wo = self._eff(p + "attn.wo", adapters)
-            w1 = self._eff(p + "mlp.w1", adapters)
-            w2 = self._eff(p + "mlp.w2", adapters)
-
-            x0 = x
-            h, ln1c = _layernorm(x0, self.w[p + "ln1.g"], self.w[p + "ln1.b"])
-            q = self._split_heads(h @ wq)
-            k = self._split_heads(h @ wk)
-            v = self._split_heads(h @ wv)
+            w = {m: self._eff(p + m, adapters) for m in WEIGHT_MATRICES}
+            h, ln1c = _layernorm(x, self.w[p + "ln1.g"], self.w[p + "ln1.b"])
+            q = self._split_heads(h @ w["attn.wq"])
+            k = self._split_heads(h @ w["attn.wk"])
+            v = self._split_heads(h @ w["attn.wv"])
             scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_head) + causal
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
-            x1 = x0 + o @ wo
-            h2, ln2c = _layernorm(x1, self.w[p + "ln2.g"], self.w[p + "ln2.b"])
-            u = h2 @ w1
+            x = x + o @ w["attn.wo"]
+            h2, ln2c = _layernorm(x, self.w[p + "ln2.g"], self.w[p + "ln2.b"])
+            u = h2 @ w["mlp.w1"]
             g = _gelu(u)
-            x = x1 + g @ w2
-            layers.append(
-                dict(p=p, x0=x0, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs, o=o,
-                     x1=x1, ln2c=ln2c, h2=h2, u=u, g=g,
-                     wq=wq, wk=wk, wv=wv, wo=wo, w1=w1, w2=w2)
-            )
+            x = x + g @ w["mlp.w2"]
+            layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
+                               o=o, ln2c=ln2c, h2=h2, u=u, g=g))
         xf, lnfc = _layernorm(x, self.w["ln_f.g"], self.w["ln_f.b"])
-        logits = xf @ self.w["head"]
-        cache = dict(ids=ids, layers=layers, lnfc=lnfc, xf=xf)
-        return logits.astype(np.float32), cache
+        return (xf @ self.w["head"]).astype(np.float32), dict(layers=layers, lnfc=lnfc)
 
     def forward(self, tokens, adapters: LoraAdapters | None = None) -> np.ndarray:
         return self.forward_cached(tokens, adapters)[0]
@@ -240,42 +234,27 @@ class TinyLm:
     def _backward_weff(self, dlogits, cache, adapted_names):
         """Propagate dL/dlogits back; return dL/dW_eff for adapted matrices."""
         dweff = {}
-        dxf = dlogits @ self.w["head"].T
-        dx = _layernorm_backward(dxf, cache["lnfc"])
+        dx = _layernorm_backward(dlogits @ self.w["head"].T, cache["lnfc"])
         for lc in reversed(cache["layers"]):
-            p = lc["p"]
+            p, w = lc["p"], lc["w"]
             # MLP branch
-            dg = dx @ lc["w2"].T
-            if p + "mlp.w2" in adapted_names:
-                dweff[p + "mlp.w2"] = dweff.get(p + "mlp.w2", 0) + lc["g"].T @ dx
-            du = dg * _gelu_grad(lc["u"])
-            if p + "mlp.w1" in adapted_names:
-                dweff[p + "mlp.w1"] = dweff.get(p + "mlp.w1", 0) + lc["h2"].T @ du
-            dh2 = du @ lc["w1"].T
-            dx1 = dx + _layernorm_backward(dh2, lc["ln2c"])
+            du = (dx @ w["mlp.w2"].T) * _gelu_grad(lc["u"])
+            dx1 = dx + _layernorm_backward(du @ w["mlp.w1"].T, lc["ln2c"])
             # attention branch
-            do_merged = dx1 @ lc["wo"].T
-            if p + "attn.wo" in adapted_names:
-                dweff[p + "attn.wo"] = dweff.get(p + "attn.wo", 0) + lc["o"].T @ dx1
-            do = self._split_heads(do_merged)
+            do = self._split_heads(dx1 @ w["attn.wo"].T)
             dprobs = do @ lc["v"].transpose(0, 2, 1)
-            dv = lc["probs"].transpose(0, 2, 1) @ do
+            dv = self._merge_heads(lc["probs"].transpose(0, 2, 1) @ do)
             dscores = (dprobs - (dprobs * lc["probs"]).sum(axis=-1, keepdims=True)) * lc["probs"]
             dscores /= math.sqrt(self.d_head)
-            dq = dscores @ lc["k"]
-            dk = dscores.transpose(0, 2, 1) @ lc["q"]
-            dh = (
-                self._merge_heads(dq) @ lc["wq"].T
-                + self._merge_heads(dk) @ lc["wk"].T
-                + self._merge_heads(dv) @ lc["wv"].T
-            )
-            h = lc["h"]
-            if p + "attn.wq" in adapted_names:
-                dweff[p + "attn.wq"] = dweff.get(p + "attn.wq", 0) + h.T @ self._merge_heads(dq)
-            if p + "attn.wk" in adapted_names:
-                dweff[p + "attn.wk"] = dweff.get(p + "attn.wk", 0) + h.T @ self._merge_heads(dk)
-            if p + "attn.wv" in adapted_names:
-                dweff[p + "attn.wv"] = dweff.get(p + "attn.wv", 0) + h.T @ self._merge_heads(dv)
+            dq = self._merge_heads(dscores @ lc["k"])
+            dk = self._merge_heads(dscores.transpose(0, 2, 1) @ lc["q"])
+            dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
+            # each matrix's (input, output gradient): dL/dW = input.T @ output gradient
+            table = {"attn.wq": (lc["h"], dq), "attn.wk": (lc["h"], dk), "attn.wv": (lc["h"], dv),
+                  "attn.wo": (lc["o"], dx1), "mlp.w1": (lc["h2"], du), "mlp.w2": (lc["g"], dx)}
+            for m, (inp, dout) in table.items():
+                if p + m in adapted_names:
+                    dweff[p + m] = inp.T @ dout
             dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
         return dweff
 
@@ -294,10 +273,8 @@ class TinyLm:
             if len(seq) < 2:
                 continue
             logits, cache = self.forward_cached(seq, adapters)
-            targets = np.asarray(seq[1:], dtype=np.int64)
-            probs = _softmax(logits[:-1])
-            picked = probs[np.arange(targets.size), targets]
-            total += float(-np.sum(np.log(np.maximum(picked, 1e-30), dtype=np.float64)))
+            nll, probs, targets = _nll(logits, seq)
+            total += nll
             dlogits = np.zeros_like(logits)
             dlogits[:-1] = probs
             dlogits[np.arange(targets.size), targets] -= 1.0
@@ -306,9 +283,7 @@ class TinyLm:
             for name, gw in dweff.items():
                 da[name] += s * (gw @ adapters.b[name].T)
                 db[name] += s * (adapters.a[name].T @ gw)
-        loss = total / n_pred
-        grads = {n: (da[n], db[n]) for n in da}
-        return loss, grads
+        return total / n_pred, {n: (da[n], db[n]) for n in da}
 
     def evaluation_loss(self, sequences, adapters: LoraAdapters | None = None) -> float:
         n_pred = 0
@@ -316,12 +291,8 @@ class TinyLm:
         for seq in sequences:
             if len(seq) < 2:
                 continue
-            logits = self.forward(seq, adapters)
-            targets = np.asarray(seq[1:], dtype=np.int64)
-            probs = _softmax(logits[:-1])
-            picked = probs[np.arange(targets.size), targets]
-            total += float(-np.sum(np.log(np.maximum(picked, 1e-30), dtype=np.float64)))
-            n_pred += targets.size
+            total += _nll(self.forward(seq, adapters), seq)[0]
+            n_pred += len(seq) - 1
         return total / max(n_pred, 1)
 
 
@@ -329,17 +300,10 @@ class TinyLm:
 # module-level ops
 
 
-def forward(bundle: ModelBundle, adapters: LoraAdapters | None, tokens) -> np.ndarray:
-    return TinyLm(bundle).forward(tokens, adapters)
-
-
-def train_epoch(bundle_or_model, adapters: LoraAdapters, sequences, lr: float,
+def train_epoch(model: TinyLm, adapters: LoraAdapters, sequences, lr: float,
                 epoch: int = 0):
     """One pass of plain gradient descent: a GD step per sequence, in dataset
     order. Returns (new adapters, record with the token-mean pass loss)."""
-    model = bundle_or_model if isinstance(bundle_or_model, TinyLm) else TinyLm(bundle_or_model)
-    if not sequences:
-        raise LmError("empty training dataset")
     total_nll = 0.0
     n_pred = 0
     for seq in sequences:
@@ -356,8 +320,7 @@ def train_epoch(bundle_or_model, adapters: LoraAdapters, sequences, lr: float,
     return adapters, TrainRecord(epoch=epoch, loss=total_nll / n_pred)
 
 
-def greedy_decode(bundle_or_model, adapters: LoraAdapters | None, prompt, max_new: int) -> list[int]:
-    model = bundle_or_model if isinstance(bundle_or_model, TinyLm) else TinyLm(bundle_or_model)
+def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new: int) -> list[int]:
     if len(prompt) == 0:
         raise LmError("prompt must be nonempty")
     if len(prompt) > model.config.max_seq:

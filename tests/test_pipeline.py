@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import os
 import shutil
 
 import pytest
@@ -9,6 +11,7 @@ from ealm import pipeline as pl
 from ealm.data import generate_synthetic_corpus, save_jsonl
 from ealm.meter import Meter
 from ealm.rank import RankingWeights, select_top_k
+from ealm.tensors import BundleError
 
 
 def make_config(tmp_path, **overrides) -> pl.PipelineConfig:
@@ -200,8 +203,14 @@ def test_programming_error_in_candidate_stops_the_run(tmp_path, monkeypatch):
         raise TypeError("injected")
 
     monkeypatch.setattr(tinylm, "greedy_decode", broken)
+    cfg = make_config(tmp_path)
     with pytest.raises(TypeError, match="injected"):
-        pl.run_all(make_config(tmp_path))
+        pl.run_all(cfg)
+    # the CLI does not file a bug as a stage error: the traceback survives
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    with pytest.raises(TypeError, match="injected"):
+        cli.main(["run-all", "--config", str(cfg_path)])
 
 
 def test_cli_gen_data_and_stats(tmp_path, capsys):
@@ -235,6 +244,27 @@ def test_cli_exit_codes(tmp_path):
     good_cfg = tmp_path / "good.json"
     good_cfg.write_text(json.dumps(make_config(tmp_path).to_dict()))
     assert cli.main(["run-all", "--config", str(good_cfg), "--k", "0"]) == 2
+    assert not (tmp_path / "out" / "candidates_loop1.json").exists()
+
+
+@pytest.mark.parametrize("overrides, meter_spec", [
+    pytest.param({"meter": {"sampling_interval_s": 0}}, None, id="sampling-interval-0"),
+    pytest.param({"meter": {"source": "bogus"}}, None, id="meter-source"),
+    pytest.param({"meter": {"source": "trace-replay"}}, None, id="trace-without-path"),
+    pytest.param({}, "bogus", id="meter-spec"),
+    pytest.param({}, "trace:{tmp}/nonexistent.csv", id="trace-spec-missing-file"),
+    pytest.param({"n_heads": 3, "d_model": 8}, None, id="heads-do-not-divide"),
+    pytest.param({"d_ff": 0}, None, id="d-ff-0"),
+])
+def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, meter_spec):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), **overrides}))
+    argv = ["run-all", "--config", str(cfg_path)]
+    if meter_spec:
+        argv += ["--meter", meter_spec.format(tmp=tmp_path)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out" / "candidates_loop1.json").exists()
 
 
@@ -295,12 +325,21 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "artifacts/{top}.adapters.npz"),
     ("prune-grid", None),  # candidates_loop1.json is there but has no baseline
     ("report", "candidates_loop1.json"),
+    # there but cut short, as a killed writer could leave it
+    ("rank", "truncated:candidates_loop1.json"),
+    ("prune-grid", "truncated:topk.json"),
+    ("prune-grid", "truncated:artifacts/{top}.ealm"),
+    ("prune-grid", "truncated:artifacts/{top}.adapters.npz"),
 ])
 def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, command, missing):
     cfg_path, ranked_out, top = ranked_state
     out = tmp_path / "out"
     shutil.copytree(ranked_out, out)
-    if missing:
+    if missing and missing.startswith("truncated:"):
+        victim = out / missing.removeprefix("truncated:").format(top=top)
+        data = victim.read_bytes()
+        victim.write_bytes(data[: len(data) // 2])
+    elif missing:
         victim = out / missing.format(top=top)
         victim.unlink()
     else:
@@ -312,6 +351,40 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("stage error:")
     assert victim.name in err
+
+
+def test_staged_writes_keep_previous_file_when_replace_fails(ranked_state, tmp_path,
+                                                           monkeypatch):
+    _, ranked_out, top = ranked_state
+    out = tmp_path / "out"
+    shutil.copytree(ranked_out, out)
+    records = pl.load_candidates(out / "candidates_loop1.json")
+    bundle, adapters = pl.load_artifacts([top], out)[top].values()
+    other_bundle = dataclasses.replace(
+        bundle, lineage=dataclasses.replace(bundle.lineage, epochs_trained=99))
+    other_adapters = dataclasses.replace(adapters, b={n: b + 1 for n, b in adapters.b.items()})
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    before = {p: p.read_bytes() for p in files}
+    real_replace = os.replace
+
+    def fail_on(suffix):
+        def replace(src, dst):
+            if str(dst).endswith(suffix):
+                raise OSError("injected")
+            real_replace(src, dst)
+        return replace
+
+    monkeypatch.setattr(os, "replace", fail_on(".json"))
+    with pytest.raises(OSError):
+        pl.save_candidates(records[:1], out / "candidates_loop1.json")
+    monkeypatch.setattr(os, "replace", fail_on(".ealm"))
+    with pytest.raises(BundleError):
+        pl.save_artifacts({top: {"bundle": other_bundle, "adapters": adapters}}, out)
+    monkeypatch.setattr(os, "replace", fail_on(".npz"))
+    with pytest.raises(OSError):  # the unchanged .ealm is rewritten first
+        pl.save_artifacts({top: {"bundle": bundle, "adapters": other_adapters}}, out)
+    assert sorted(p for p in out.rglob("*") if p.is_file()) == files  # no temp file left
+    assert {p: p.read_bytes() for p in files} == before
 
 
 def test_meter_config_from_pipeline():

@@ -10,8 +10,9 @@ from ealm.quant import (
     quantize,
     quantize_bundle,
 )
-from ealm.tensors import LmConfig, QuantizedTensor, payload_bytes
-from ealm.tinylm import init_model
+from ealm.prune import PruneSpec, build_mask
+from ealm.tensors import WEIGHT_MATRICES, LmConfig, QuantizedTensor, payload_bytes
+from ealm.tinylm import init_adapters, init_model
 
 from f16_oracle import f32_to_f16_bits
 
@@ -115,6 +116,22 @@ def test_quantize_bundle_targets_and_lineage():
     assert payload_bytes(quantize_bundle(bundle, QuantSpec(4))) < payload_bytes(
         quantize_bundle(bundle, QuantSpec(16))
     )
+
+
+def test_weight_matrix_set_is_pinned():
+    # 12 layers, so a "layers.1" prefix that also matched "layers.10" would show
+    cfg = LmConfig(d_model=4, n_layers=12, n_heads=1, d_ff=4, max_seq=4, vocab_size=4)
+    want = {f"layers.{i}.{m}" for i in range(12) for m in WEIGHT_MATRICES}
+    assert len(want) == 72
+    assert {n for n in cfg.tensor_shapes() if default_target_filter(n)} == want
+
+    bundle = init_model(cfg)
+    assert set(init_adapters(cfg, rank=1).a) == want
+    quantized = quantize_bundle(bundle, QuantSpec(8))
+    assert {n for n, t in quantized.tensors.items() if isinstance(t, QuantizedTensor)} == want
+    for spec in (PruneSpec("unstructured-magnitude", ratio=0.5),
+                 PruneSpec("structured-nm", n=2, m=4)):
+        assert set(build_mask(bundle, spec).masks) == want
 
 
 def test_nonfinite_rejected():

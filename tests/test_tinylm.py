@@ -13,7 +13,6 @@ from ealm.tinylm import (
     count_flops_and_skipped,
     encode_example,
     encode_prompt,
-    forward,
     greedy_decode,
     init_adapters,
     init_model,
@@ -45,22 +44,24 @@ def test_init_deterministic_and_shapes():
 
 def test_forward_shape_and_zero_adapter_equivalence():
     bundle, adapters, seqs = small_setup()
-    logits = forward(bundle, adapters, seqs[0])
+    model = TinyLm(bundle)
+    logits = model.forward(seqs[0], adapters)
     assert logits.shape == (len(seqs[0]), CFG.vocab_size)
     assert np.isfinite(logits).all()
     # B starts at zero, so the adapter path must match the base exactly
-    assert np.array_equal(logits, forward(bundle, None, seqs[0]))
+    assert np.array_equal(logits, model.forward(seqs[0], None))
 
-    one = forward(bundle, None, [tinylm.BOS_ID])
+    one = model.forward([tinylm.BOS_ID], None)
     assert one.shape == (1, CFG.vocab_size)
 
 
 def test_forward_input_validation():
     bundle, _, _ = small_setup()
+    model = TinyLm(bundle)
     with pytest.raises(LmError):
-        forward(bundle, None, list(range(CFG.max_seq + 1)))
+        model.forward(list(range(CFG.max_seq + 1)), None)
     with pytest.raises(LmError):
-        forward(bundle, None, [999])
+        model.forward([999], None)
 
 
 def test_softmax_rows_sum_to_one():
@@ -140,13 +141,14 @@ def test_adapter_gradients_match_finite_differences():
 
 def test_greedy_decode_contract():
     bundle, adapters, _ = small_setup()
+    model = TinyLm(bundle)
     prompt = encode_prompt("fault e01 link")
-    assert greedy_decode(bundle, adapters, prompt, 0) == prompt
-    a = greedy_decode(bundle, adapters, prompt, 8)
-    b = greedy_decode(bundle, adapters, prompt, 8)
+    assert greedy_decode(model, adapters, prompt, 0) == prompt
+    a = greedy_decode(model, adapters, prompt, 8)
+    b = greedy_decode(TinyLm(bundle), adapters, prompt, 8)
     assert a == b
     with pytest.raises(LmError):
-        greedy_decode(bundle, adapters, [], 4)
+        greedy_decode(model, adapters, [], 4)
 
 
 def test_merge_adapters_equivalence():
@@ -156,8 +158,8 @@ def test_merge_adapters_equivalence():
         _, grads = model.loss_and_grads(seqs, adapters)
         adapters = adapters.step(grads, 0.1)
     merged = merge_adapters(bundle, adapters)
-    la = forward(bundle, adapters, seqs[0])
-    lm = forward(merged, None, seqs[0])
+    la = model.forward(seqs[0], adapters)
+    lm = TinyLm(merged).forward(seqs[0], None)
     assert np.abs(la - lm).max() <= 1e-5
 
     zeroed = init_adapters(CFG, rank=4, alpha=8, seed=1)  # B == 0
