@@ -30,10 +30,6 @@ def _load_config(args) -> pl.PipelineConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _build_meter(cfg: pl.PipelineConfig, args):
-    return pl.build_meter(cfg, getattr(args, "meter", None))
-
-
 def cmd_gen_data(args) -> int:
     records = generate_synthetic_corpus(args.seed or 0, args.n, args.grammar_size)
     save_jsonl(records, args.out)
@@ -49,7 +45,7 @@ def cmd_stats(args) -> int:
 
 def cmd_finetune_grid(args) -> int:
     cfg = _load_config(args)
-    records = pl.finetune_stage(cfg, _build_meter(cfg, args))
+    records = pl.finetune_stage(cfg, pl.build_meter(cfg, args.meter))
     print(f"loop 1: {len(records)} candidates -> {cfg.out_dir}")
     return EXIT_OK
 
@@ -62,7 +58,7 @@ def cmd_rank(args) -> int:
 
 def cmd_prune_grid(args) -> int:
     cfg = _load_config(args)
-    records = pl.prune_stage(cfg, _build_meter(cfg, args))
+    records = pl.prune_stage(cfg, pl.build_meter(cfg, args.meter))
     print(f"loop 2: {len(records)} candidates -> {cfg.out_dir}")
     return EXIT_OK
 
@@ -76,8 +72,7 @@ def cmd_report(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _load_config(args)
-    meter = _build_meter(cfg, args)
-    pl.run_all(cfg, meter)
+    pl.run_all(cfg, pl.build_meter(cfg, args.meter))
     print(f"pipeline complete; reports in {cfg.out_dir}")
     return EXIT_OK
 
@@ -89,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_meter=True):
+    def common(p, with_meter):
         p.add_argument("--config", help="pipeline config file (JSON or YAML)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="master seed override")
@@ -109,11 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_stats)
 
-    for name, fn in [("finetune-grid", cmd_finetune_grid), ("rank", cmd_rank),
-                     ("prune-grid", cmd_prune_grid), ("report", cmd_report),
-                     ("run-all", cmd_run_all)]:
+    # only the stages that meter a span take --meter
+    for name, fn, metered in [("finetune-grid", cmd_finetune_grid, True),
+                              ("rank", cmd_rank, False),
+                              ("prune-grid", cmd_prune_grid, True),
+                              ("report", cmd_report, False),
+                              ("run-all", cmd_run_all, True)]:
         p = sub.add_parser(name)
-        common(p)
+        common(p, metered)
         p.set_defaults(func=fn)
     return parser
 

@@ -131,19 +131,19 @@ def load_trace(path) -> list[PowerSample]:
     return samples
 
 
-class SpanHandle:
-    def __init__(self, started: float, state):
-        self.started = started
-        self.state = state
-
-
 class Meter:
     def __init__(self, config: MeterConfig, clock=time.monotonic):
         self.config = config
         self.clock = clock
-        self._active: SpanHandle | None = None
+        # the open span: (start time, powercap sampler or None)
+        self._active: tuple | None = None
         if config.source not in ("powercap", "constant-power", "trace-replay"):
             raise MeterError(f"unknown meter source {config.source!r}")
+        if config.source == "powercap" and not config.powercap_paths:
+            raise MeterSourceError(
+                "powercap source needs powercap_paths; "
+                "fall back to the constant-power source"
+            )
         if config.source == "trace-replay":
             if not config.trace_path:
                 raise MeterError("trace-replay source needs trace_path")
@@ -153,23 +153,23 @@ class Meter:
                 raise MeterError(f"cannot read trace {config.trace_path}: {e}") from e
             self._trace_joules = integrate(samples)
 
-    def start_span(self) -> SpanHandle:
+    def start_span(self) -> tuple:
         if self._active is not None:
             raise MeterUsageError("spans do not nest: a span is already active")
         started = self.clock()
-        state = None
+        sampler = None
         if self.config.source == "powercap":
-            state = _PowercapSampler(self.config)
-            state.start()
-        handle = SpanHandle(started, state)
-        self._active = handle
-        return handle
+            sampler = _PowercapSampler(self.config)
+            sampler.start()
+        self._active = (started, sampler)
+        return self._active
 
-    def stop_span(self, handle: SpanHandle) -> EnergyReport:
+    def stop_span(self, handle: tuple) -> EnergyReport:
         if handle is not self._active:
             raise MeterUsageError("span already stopped")
         self._active = None
-        duration = self.clock() - handle.started
+        started, sampler = handle
+        duration = self.clock() - started
         joules = {d: 0.0 for d in DOMAINS}
         if self.config.source == "constant-power":
             for d, w in self.config.constant_watts.items():
@@ -177,7 +177,7 @@ class Meter:
         elif self.config.source == "trace-replay":
             joules.update(self._trace_joules)
         else:
-            joules.update(handle.state.stop())
+            joules.update(sampler.stop())
         return EnergyReport(
             joules=joules, duration_s=duration,
             carbon_intensity=self.config.carbon_intensity,
@@ -200,11 +200,6 @@ class _PowercapSampler:
     between start and stop are caught at the configured interval."""
 
     def __init__(self, config: MeterConfig):
-        if not config.powercap_paths:
-            raise MeterSourceError(
-                "powercap source needs powercap_paths; "
-                "fall back to the constant-power source"
-            )
         self.paths = dict(config.powercap_paths)
         self.interval = config.sampling_interval_s
         self.max_range = {}

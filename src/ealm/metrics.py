@@ -1,4 +1,4 @@
-"""Text-quality metrics (BLEU, ROUGE-1/2/L, METEOR, embedding cosine) plus
+"""Text-quality metrics (BLEU, ROUGE-1/2/L, METEOR, term-frequency cosine) plus
 generation throughput.
 
 All metrics operate on lowercased whitespace tokens and stay in [0, 1].
@@ -178,25 +178,14 @@ def meteor(candidate, reference) -> float:
     return f_mean * (1.0 - penalty)
 
 
-def tf_embedder_pair(candidate, reference) -> tuple[np.ndarray, np.ndarray]:
-    """Term-frequency vectors over the shared vocabulary of the pair."""
-    vocab = sorted(set(candidate) | set(reference))
-    idx = {t: i for i, t in enumerate(vocab)}
-    def vec(tokens):
-        v = np.zeros(len(vocab))
-        for t in tokens:
-            v[idx[t]] += 1.0
-        return v
-    return vec(candidate), vec(reference)
-
-
-def cosine(candidate, reference, embedder=None) -> float:
-    if embedder is not None:
-        a, b = np.asarray(embedder(candidate), float), np.asarray(embedder(reference), float)
-        if a.shape != b.shape:
-            raise MetricError("embedder produced mismatched dimensions")
-    else:
-        a, b = tf_embedder_pair(candidate, reference)
+def cosine(candidate, reference) -> float:
+    """Cosine of the pair's term-frequency vectors over their shared vocabulary."""
+    idx = {t: i for i, t in enumerate(sorted(set(candidate) | set(reference)))}
+    a, b = np.zeros(len(idx)), np.zeros(len(idx))
+    for t in candidate:
+        a[idx[t]] += 1.0
+    for t in reference:
+        b[idx[t]] += 1.0
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return 0.0
@@ -209,7 +198,7 @@ def tokens_per_second(n_tokens: int, duration_s: float) -> float:
     return n_tokens / duration_s
 
 
-def score_outputs(pairs, n_tokens: int, duration_s: float, embedder=None) -> MetricScores:
+def score_outputs(pairs, n_tokens: int, duration_s: float) -> MetricScores:
     """Corpus BLEU plus per-pair means of the other metrics over
     (candidate_text, reference_text) pairs."""
     if not pairs:
@@ -228,6 +217,6 @@ def score_outputs(pairs, n_tokens: int, duration_s: float, embedder=None) -> Met
         rouge2_f=mean(lambda c, r: rouge_n(c, r, 2) if len(c) > 1 and len(r) > 1 else 0.0),
         rougeL_f=mean(rouge_l),
         meteor=mean(meteor),
-        cosine=mean(lambda c, r: cosine(c, r, embedder)),
+        cosine=mean(cosine),
         tokens_per_s=tokens_per_second(n_tokens, duration_s),
     )

@@ -29,7 +29,7 @@ from .meter import (
     report_from_dict,
 )
 from .metrics import MetricError, MetricScores, score_outputs
-from .rank import CandidateRecord, RankingWeights
+from .rank import CandidateRecord
 from .tensors import (BundleError, LmConfig, ModelBundle, load_bundle, payload_bytes,
                       save_bundle, write_atomic)
 
@@ -117,7 +117,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as e:
+            raise ConfigError(f"cannot read {path}: {e}") from e
         if str(path).endswith((".yaml", ".yml")):
             import yaml
             parse, syntax_error = yaml.safe_load, yaml.YAMLError
@@ -504,7 +507,7 @@ def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
     """Top-k of loop 1 by R; writes topk.json."""
     out = Path(config.out_dir)
     ok = [r for r in load_candidates(out / "candidates_loop1.json") if r.status == "ok"]
-    topk = rank_mod.select_top_k(ok, RankingWeights(w=config.w, k=config.k))
+    topk = rank_mod.select_top_k(ok, config.k)
     save_candidates(topk, out / "topk.json")
     return topk
 

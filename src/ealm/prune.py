@@ -54,15 +54,6 @@ class PruneSpec:
         }
 
 
-@dataclass
-class SparsityMask:
-    masks: dict[str, np.ndarray]  # name -> bool array, True = keep
-
-
-def _dense_values(t) -> np.ndarray:
-    return dequantize(t) if isinstance(t, QuantizedTensor) else np.asarray(t, np.float32)
-
-
 def _magnitude_drop_order(values: np.ndarray) -> np.ndarray:
     # ascending |w|; among equal magnitudes the higher flat index drops first
     flat = np.abs(values.reshape(-1))
@@ -80,13 +71,13 @@ def magnitude_mask(values: np.ndarray, ratio: float) -> np.ndarray:
     return mask.reshape(values.shape)
 
 
-def magnitude_masks(tensors: dict[str, np.ndarray], ratio: float, scope: str) -> SparsityMask:
+def magnitude_masks(tensors: dict, ratio: float, scope: str) -> dict[str, np.ndarray]:
     if scope == "per-tensor":
-        return SparsityMask({n: magnitude_mask(_dense_values(t), ratio) for n, t in tensors.items()})
+        return {n: magnitude_mask(dequantize(t), ratio) for n, t in tensors.items()}
     if scope != "global":
         raise PruneError(f"unknown scope {scope!r}")
     names = list(tensors)
-    flats = [np.abs(_dense_values(tensors[n]).reshape(-1)) for n in names]
+    flats = [np.abs(dequantize(tensors[n]).reshape(-1)) for n in names]
     sizes = [f.size for f in flats]
     allv = np.concatenate(flats) if flats else np.array([])
     k = math.floor(ratio * allv.size)
@@ -95,9 +86,9 @@ def magnitude_masks(tensors: dict[str, np.ndarray], ratio: float, scope: str) ->
     keep[order[:k]] = False
     masks, off = {}, 0
     for name, size in zip(names, sizes):
-        masks[name] = keep[off : off + size].reshape(_dense_values(tensors[name]).shape)
+        masks[name] = keep[off : off + size].reshape(tensors[name].shape)
         off += size
-    return SparsityMask(masks)
+    return masks
 
 
 def nm_mask(values: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -110,26 +101,25 @@ def nm_mask(values: np.ndarray, n: int, m: int) -> np.ndarray:
     return nm_mask_kernel(np.ascontiguousarray(values, np.float32), n, m)
 
 
-def nm_masks(tensors: dict[str, np.ndarray], n: int, m: int) -> SparsityMask:
+def nm_masks(tensors: dict, n: int, m: int) -> dict[str, np.ndarray]:
     """N:M masks with groups running along the input (first) axis of each
     weight matrix, the hardware convention for 2:4 sparsity."""
-    masks = {}
-    for name, t in tensors.items():
-        masks[name] = nm_mask(_dense_values(t).T, n, m).T
-    return SparsityMask(masks)
+    return {name: nm_mask(dequantize(t).T, n, m).T for name, t in tensors.items()}
 
 
-def build_mask(bundle: ModelBundle, spec: PruneSpec) -> SparsityMask:
+def build_mask(bundle: ModelBundle, spec: PruneSpec) -> dict[str, np.ndarray]:
+    """Keep-masks (True = keep) for the targeted weight matrices, by name."""
     targets = {name: t for name, t in bundle.tensors.items() if default_target_filter(name)}
     if spec.method == "unstructured-magnitude":
         return magnitude_masks(targets, spec.ratio, spec.scope)
     return nm_masks(targets, spec.n, spec.m)
 
 
-def apply_mask(bundle: ModelBundle, mask: SparsityMask, spec: PruneSpec | None = None) -> ModelBundle:
+def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray],
+               spec: PruneSpec | None = None) -> ModelBundle:
     tensors = {}
     for name, t in bundle.tensors.items():
-        m = mask.masks.get(name)
+        m = masks.get(name)
         if m is None:
             tensors[name] = t
             continue

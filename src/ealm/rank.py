@@ -19,18 +19,6 @@ class RankError(Exception):
 
 
 @dataclass
-class RankingWeights:
-    w: float = 0.7
-    k: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.w <= 1.0:
-            raise RankError(f"w must be in [0, 1], got {self.w}")
-        if self.k < 1:
-            raise RankError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass
 class CandidateRecord:
     id: str
     lineage: dict
@@ -106,8 +94,10 @@ def rank_score(phi: float, rho: float, w: float) -> float:
     return w * phi + (1.0 - w) * rho
 
 
-def select_top_k(collection: list[CandidateRecord], weights: RankingWeights) -> list[CandidateRecord]:
-    """Descending by R; ties broken by lower total joules, then id."""
+def select_top_k(collection: list[CandidateRecord], k: int) -> list[CandidateRecord]:
+    """The first k by descending R; ties broken by lower total joules, then id."""
+    if k < 1:
+        raise RankError(f"k must be >= 1, got {k}")
     if not collection:
         raise RankError("empty candidate collection")
 
@@ -115,4 +105,4 @@ def select_top_k(collection: list[CandidateRecord], weights: RankingWeights) -> 
         joules = rec.energy.total_joules if rec.energy else float("inf")
         return (-rec.r_score, joules, rec.id)
 
-    return sorted(collection, key=key)[: weights.k]
+    return sorted(collection, key=key)[:k]

@@ -352,20 +352,3 @@ def merge_adapters(bundle: ModelBundle, adapters: LoraAdapters) -> ModelBundle:
             tensors[name] = t
     return ModelBundle(tensors=tensors, config=bundle.config,
                        lineage=dataclasses.replace(bundle.lineage))
-
-
-def count_flops_and_skipped(bundle: ModelBundle, tokens) -> dict:
-    """Forward-pass multiply-accumulate count plus MACs skippable because the
-    stored weight is exactly zero (one MAC per zero weight per position)."""
-    cfg = bundle.config
-    t = len(tokens)
-    d, dff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    per_layer = 4 * t * d * d + 2 * t * t * d + t * d * dff + t * dff * d
-    macs = cfg.n_layers * per_layer + t * d * v
-    skipped = 0
-    for name, tensor in bundle.tensors.items():
-        if not default_target_filter(name):
-            continue
-        vals = tensor.codes if isinstance(tensor, QuantizedTensor) else np.asarray(tensor)
-        skipped += int(np.count_nonzero(vals == 0)) * t
-    return {"macs": int(macs), "skipped_macs": int(skipped)}

@@ -20,7 +20,7 @@ from ealm.meter import Meter, MeterConfig, PowerSample, combine_reports, counter
 from ealm.metrics import bleu, cosine, meteor, rouge_l, rouge_n
 from ealm.prune import magnitude_mask, nm_mask
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
-from ealm.rank import CandidateRecord, RankingWeights, rank_score, select_top_k
+from ealm.rank import CandidateRecord, rank_score, select_top_k
 from ealm.tensors import LmConfig, payload_bytes, tensor_payload_bytes
 
 from f16_oracle import f32_to_f16_bits
@@ -55,12 +55,12 @@ def test_criterion_1_eq1_suite():
             for i, (p, r, _) in enumerate(triples[:50])]
     for rec in recs:
         rec.r_score = rank_score(rec.phi, rec.rho, 1.0)
-    by_phi = select_top_k(recs, RankingWeights(w=1.0, k=50))
+    by_phi = select_top_k(recs, 50)
     assert [r.id for r in by_phi] == [
         r.id for r in sorted(recs, key=lambda r: (-r.phi, float("inf"), r.id))]
     for rec in recs:
         rec.r_score = rank_score(rec.phi, rec.rho, 0.0)
-    by_rho = select_top_k(recs, RankingWeights(w=0.0, k=50))
+    by_rho = select_top_k(recs, 50)
     assert [r.id for r in by_rho] == [
         r.id for r in sorted(recs, key=lambda r: (-r.rho, float("inf"), r.id))]
 

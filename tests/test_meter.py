@@ -174,7 +174,7 @@ def test_measure_closes_span_when_fn_raises(tmp_path):
     samplers = []
 
     def boom():
-        samplers.append(meter._active.state)
+        samplers.append(meter._active[1])  # (start time, sampler)
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
@@ -186,9 +186,8 @@ def test_measure_closes_span_when_fn_raises(tmp_path):
 
 
 def test_powercap_needs_paths():
-    meter = Meter(MeterConfig(source="powercap"))
     with pytest.raises(MeterSourceError):
-        meter.start_span()
+        Meter(MeterConfig(source="powercap"))
 
 
 def test_units_and_co2():
@@ -218,10 +217,12 @@ def test_meter_from_spec(tmp_path):
 def test_meter_from_spec_leaves_config_unchanged(tmp_path):
     trace = tmp_path / "t.csv"
     trace.write_text("0.0,cpu,1.0\n1.0,cpu,1.0\n")
-    cfg = MeterConfig(source="constant-power", constant_watts={"cpu": 5.0})
+    paths = {"cpu": str(powercap_dir(tmp_path))}
+    cfg = MeterConfig(source="constant-power", constant_watts={"cpu": 5.0}, powercap_paths=paths)
     for spec in ("powercap", f"trace:{trace}", "constant"):
         meter_from_spec(spec, cfg)
-        assert cfg == MeterConfig(source="constant-power", constant_watts={"cpu": 5.0})
+        assert cfg == MeterConfig(source="constant-power", constant_watts={"cpu": 5.0},
+                                  powercap_paths=paths)
 
 
 def test_bad_config():

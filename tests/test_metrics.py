@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,12 +117,6 @@ def test_cosine_derived_values():
     assert cosine("a b".split(), "a b".split()) == pytest.approx(1.0, abs=1e-12)
     assert cosine("a".split(), "b".split()) == 0.0
     assert cosine([], []) == 0.0
-
-    # custom embedder path with clamping of negative similarity to 0
-    emb = {"up": np.array([1.0, 0.0]), "down": np.array([-1.0, 0.0])}
-    assert cosine(["up"], ["down"], embedder=lambda t: emb[t[0]]) == 0.0
-    with pytest.raises(MetricError):
-        cosine(["up"], ["down"], embedder=lambda t: np.ones(len(t[0])))
 
 
 def test_tokens_per_second():

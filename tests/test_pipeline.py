@@ -10,7 +10,7 @@ from ealm import cli, tinylm
 from ealm import pipeline as pl
 from ealm.data import generate_synthetic_corpus, save_jsonl
 from ealm.meter import Meter
-from ealm.rank import RankingWeights, select_top_k
+from ealm.rank import select_top_k
 from ealm.tensors import BundleError
 
 
@@ -69,6 +69,21 @@ def test_config_file_roundtrip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(pl.ConfigError):
         pl.PipelineConfig.from_file(bad)
+
+
+def test_yaml_config_matches_its_json_twin(tmp_path, capsys):
+    import yaml
+
+    cfg = make_config(tmp_path)
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(cfg.to_dict()))
+    assert pl.PipelineConfig.from_file(p) == cfg
+
+    bad = tmp_path / "bad.yml"
+    bad.write_text("bits_grid: [4, 8\n")
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_run_all_counts_and_reports(tmp_path):
@@ -134,8 +149,7 @@ def test_select_topk_used_for_loop2_parents(tmp_path):
     loop1 = [c for c in payload["candidates"] if c["stage"] == "finetune"]
     loop2 = [c for c in payload["candidates"] if c["stage"] == "prune"]
     recs = pl.load_candidates(tmp_path / "out" / "candidates_loop1.json")
-    top = select_top_k([r for r in recs if r.status == "ok"],
-                       RankingWeights(w=cfg.w, k=cfg.k))
+    top = select_top_k([r for r in recs if r.status == "ok"], cfg.k)
     assert {c["lineage"]["parent_id"] for c in loop2} == {r.id for r in top}
     assert len(loop2) == 2 * (1 + 1 + 1)
     assert len(loop1) == 2
@@ -255,17 +269,30 @@ def test_cli_exit_codes(tmp_path):
     pytest.param({}, "trace:{tmp}/nonexistent.csv", id="trace-spec-missing-file"),
     pytest.param({"n_heads": 3, "d_model": 8}, None, id="heads-do-not-divide"),
     pytest.param({"d_ff": 0}, None, id="d-ff-0"),
+    pytest.param({"meter": {"source": "powercap"}}, None, id="powercap-without-paths"),
+    pytest.param({}, "powercap", id="powercap-spec-without-paths"),
+    pytest.param(None, None, id="missing-config-file"),
 ])
 def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, meter_spec):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), **overrides}))
-    argv = ["run-all", "--config", str(cfg_path)]
+    if overrides is not None:
+        cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), **overrides}))
+    argv = ["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if meter_spec:
         argv += ["--meter", meter_spec.format(tmp=tmp_path)]
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out" / "candidates_loop1.json").exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "report"])
+def test_unmetered_stages_reject_meter(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--meter", "constant", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    args = cli.build_parser().parse_args(["finetune-grid", "--meter", "constant"])
+    assert args.meter == "constant"
 
 
 def test_cli_run_all_smoke(tmp_path):

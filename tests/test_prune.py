@@ -4,7 +4,6 @@ import pytest
 from ealm.prune import (
     PruneError,
     PruneSpec,
-    SparsityMask,
     apply_mask,
     build_mask,
     magnitude_mask,
@@ -42,8 +41,8 @@ def test_magnitude_global_scope():
     a = np.asarray([1.0, 10.0], np.float32)
     b = np.asarray([2.0, 20.0], np.float32)
     out = magnitude_masks({"a": a, "b": b}, 0.5, "global")
-    assert out.masks["a"].tolist() == [False, True]
-    assert out.masks["b"].tolist() == [False, True]
+    assert out["a"].tolist() == [False, True]
+    assert out["b"].tolist() == [False, True]
 
 
 def test_magnitude_ratio_bounds():
@@ -99,11 +98,11 @@ def test_prune_spec_validation():
 def test_apply_mask_identity_and_idempotence():
     bundle = init_model(LmConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq=16))
     name = "layers.0.attn.wq"
-    ones = SparsityMask({name: np.ones((8, 8), bool)})
+    ones = {name: np.ones((8, 8), bool)}
     same = apply_mask(bundle, ones)
     assert np.array_equal(same.tensors[name], bundle.tensors[name])
 
-    zeros = SparsityMask({name: np.zeros((8, 8), bool)})
+    zeros = {name: np.zeros((8, 8), bool)}
     zeroed = apply_mask(bundle, zeros)
     assert not zeroed.tensors[name].any()
     again = apply_mask(zeroed, zeros)
@@ -112,7 +111,7 @@ def test_apply_mask_identity_and_idempotence():
 
 def test_apply_mask_shape_mismatch():
     bundle = init_model(LmConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq=16))
-    bad = SparsityMask({"layers.0.attn.wq": np.ones((4, 4), bool)})
+    bad = {"layers.0.attn.wq": np.ones((4, 4), bool)}
     with pytest.raises(PruneError):
         apply_mask(bundle, bad)
 
@@ -146,7 +145,7 @@ def test_kept_weights_unchanged():
     spec = PruneSpec("unstructured-magnitude", ratio=0.4)
     mask = build_mask(bundle, spec)
     pruned = apply_mask(bundle, mask, spec)
-    for name, m in mask.masks.items():
+    for name, m in mask.items():
         before = np.asarray(bundle.tensors[name])
         after = np.asarray(pruned.tensors[name])
         assert np.array_equal(after[m], before[m])

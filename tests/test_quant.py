@@ -131,7 +131,7 @@ def test_weight_matrix_set_is_pinned():
     assert {n for n, t in quantized.tensors.items() if isinstance(t, QuantizedTensor)} == want
     for spec in (PruneSpec("unstructured-magnitude", ratio=0.5),
                  PruneSpec("structured-nm", n=2, m=4)):
-        assert set(build_mask(bundle, spec).masks) == want
+        assert set(build_mask(bundle, spec)) == want
 
 
 def test_nonfinite_rejected():

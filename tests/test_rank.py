@@ -7,7 +7,6 @@ from ealm.metrics import MetricScores
 from ealm.rank import (
     CandidateRecord,
     RankError,
-    RankingWeights,
     efficiency_score,
     performance_score,
     rank_score,
@@ -66,18 +65,18 @@ def test_select_top_k_ordering_and_ties():
         cand("d", 0.9, joules=50.0),
         cand("c", 0.5, joules=5.0),  # tie on R: fewer joules wins
     ]
-    top = select_top_k(c, RankingWeights(w=0.7, k=3))
+    top = select_top_k(c, 3)
     assert [x.id for x in top] == ["d", "c", "a"]
-    assert len(select_top_k(c, RankingWeights(k=10))) == 4
+    assert len(select_top_k(c, 10)) == 4
     with pytest.raises(RankError):
-        select_top_k([], RankingWeights())
+        select_top_k([], 1)
 
 
 def test_weights_validation():
     with pytest.raises(RankError):
-        RankingWeights(w=-0.1)
+        rank_score(0.5, 0.5, -0.1)
     with pytest.raises(RankError):
-        RankingWeights(k=0)
+        select_top_k([cand("a", 0.5, joules=1.0)], 0)
 
 
 def test_record_serialization():

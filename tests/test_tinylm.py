@@ -3,14 +3,12 @@ import pytest
 
 from ealm import tinylm
 from ealm.data import generate_synthetic_corpus
-from ealm.prune import PruneSpec, prune_bundle
 from ealm.quant import QuantSpec, quantize_bundle
 from ealm.tensors import LmConfig, bundles_equal
 from ealm.tinylm import (
     EOS_ID,
     LmError,
     TinyLm,
-    count_flops_and_skipped,
     encode_example,
     encode_prompt,
     greedy_decode,
@@ -175,29 +173,6 @@ def test_merge_rejects_quantized_base():
     q = quantize_bundle(bundle, QuantSpec(8))
     with pytest.raises(LmError):
         merge_adapters(q, adapters)
-
-
-def test_flops_counting():
-    bundle, _, _ = small_setup()
-    tokens = list(range(10))
-    out = count_flops_and_skipped(bundle, tokens)
-    assert out["skipped_macs"] == 0
-
-    pruned = prune_bundle(bundle, PruneSpec("structured-nm", n=2, m=4))
-    t = len(tokens)
-    targeted = sum(
-        np.asarray(v).size for n, v in bundle.tensors.items()
-        if n.endswith(("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2"))
-    )
-    assert count_flops_and_skipped(pruned, tokens)["skipped_macs"] == t * targeted // 2
-
-    # closed-form MAC scaling: attention term quadratic in T, MLP linear
-    m1 = count_flops_and_skipped(bundle, list(range(8)))["macs"]
-    m2 = count_flops_and_skipped(bundle, list(range(16)))["macs"]
-    cfg = bundle.config
-    attn1 = cfg.n_layers * 2 * 8 * 8 * cfg.d_model
-    attn2 = cfg.n_layers * 2 * 16 * 16 * cfg.d_model
-    assert m2 - 2 * m1 == attn2 - 2 * attn1
 
 
 def test_training_divergence_error():
