@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .meter import (
 )
 from .metrics import MetricError, MetricScores, score_outputs
 from .rank import CandidateRecord
-from .tensors import (BundleError, LmConfig, ModelBundle, load_bundle, payload_bytes,
+from .tensors import (BundleError, Lineage, LmConfig, load_bundle, payload_bytes,
                       save_bundle, write_atomic)
 
 import numpy as np
@@ -73,20 +74,38 @@ class PipelineConfig:
         for b in self.bits_grid:
             if b not in (4, 8, 16, 32):
                 raise ConfigError(f"bits_grid entry {b} not in {{4, 8, 16, 32}}")
-        for r in self.prune_ratios:
-            if not 0 < r < 1:
-                raise ConfigError(f"prune ratio {r} outside (0, 1)")
-        for n, m in self.nm_patterns:
-            if not 0 < n < m:
-                raise ConfigError(f"bad N:M pattern ({n}, {m})")
+        for e in self.epochs_grid:
+            if e < 1:
+                raise ConfigError(f"epochs_grid entry {e} must be >= 1")
+        try:
+            variants = self.prune_variants()
+        except prune_mod.PruneError as e:
+            raise ConfigError(f"bad pruning grid: {e}") from e
+        # a candidate's id names its grid cell, so a repeated cell repeats an id
+        for what, cells in (("bits_grid", self.bits_grid), ("epochs_grid", self.epochs_grid),
+                            ("prune_ratios and nm_patterns", [v for v, _ in variants])):
+            if len(set(cells)) < len(cells):
+                raise ConfigError(f"repeated candidate id from {what}: {cells}")
         if not 0 <= self.w <= 1:
             raise ConfigError(f"w must be in [0, 1], got {self.w}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        for name in ("k", "lora_rank", "max_new_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         try:
             self.lm_config()
         except (ValueError, TypeError) as e:
             raise ConfigError(f"bad model shape: {e}") from e
+
+    def prune_variants(self) -> list[tuple[str, prune_mod.PruneSpec | None]]:
+        """Loop 2's variants of one parent as (id suffix, spec): the unpruned
+        model, then every magnitude ratio, then every N:M pattern."""
+        spec = prune_mod.PruneSpec
+        return ([("unpruned", None)]
+                + [(f"mag{int(round(r * 100))}", spec("unstructured-magnitude", ratio=r))
+                   for r in self.prune_ratios]
+                + [(f"nm{n}x{m}", spec("structured-nm", n=n, m=m)) for n, m in self.nm_patterns])
 
     def lm_config(self) -> LmConfig:
         return LmConfig(
@@ -167,7 +186,7 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     """Loop 1: (bits x epochs) grid of LoRA fine-tunes over quantized bases.
 
     Returns (records, artifacts) where artifacts[id] holds the trained bundle,
-    adapters, and the inference-span energy used as the loop-2 reference.
+    which carries the candidate's lineage, and its adapters.
     """
     lm_cfg = config.lm_config()
     base32 = tinylm.init_model(lm_cfg)
@@ -177,8 +196,7 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     for bits in config.bits_grid:
         for epochs in config.epochs_grid:
             cid = f"ft-b{bits}-e{epochs}"
-            lineage = {"precision_bits": bits, "epochs_trained": epochs,
-                       "prune": None, "parent_id": None}
+            lineage = Lineage(precision_bits=bits, epochs_trained=epochs)
             try:
                 bundle = quant_mod.quantize_bundle(base32, quant_mod.QuantSpec(bits))
                 adapters = tinylm.init_adapters(
@@ -207,33 +225,35 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                     extra={"payload_bytes": payload_bytes(bundle),
                            "eval_energy": eval_energy.to_dict()},
                 )
-                artifacts[cid] = {"bundle": bundle, "adapters": adapters}
+                artifacts[cid] = {"bundle": dataclasses.replace(bundle, lineage=lineage),
+                                  "adapters": adapters}
             except CANDIDATE_ERRORS as e:
                 rec = _failed(cid, lineage, "finetune", e)
             records.append(rec)
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         raise StageError("finetune-grid: every candidate failed")
-    baseline = _pick_baseline(ok)
+    # the baseline: highest precision, then most epochs; the first such on a tie
+    baseline = max(ok, key=lambda r: (r.lineage.precision_bits, r.lineage.epochs_trained))
     baseline.baseline = True
-    _score(ok, config.w, baseline.energy)  # phi = 1 - E/E = 0 for the baseline
+    _score(ok, config.w, baseline)  # phi = 1 - E/E = 0 for the baseline
     return records, artifacts
 
 
-def _pick_baseline(ok_records: list[CandidateRecord]) -> CandidateRecord:
-    """Baseline: highest-precision (32-bit when present), max-epochs, unpruned."""
-    best_bits = max(r.lineage["precision_bits"] for r in ok_records)
-    pool = [r for r in ok_records if r.lineage["precision_bits"] == best_bits]
-    max_epochs = max(r.lineage["epochs_trained"] for r in pool)
-    pool = [r for r in pool if r.lineage["epochs_trained"] == max_epochs]
-    return pool[0]
+def _reference_energy(baseline: CandidateRecord, rec: CandidateRecord) -> EnergyReport:
+    """phi's reference for `rec`: the baseline's whole loop-1 energy for a
+    loop-1 candidate; for a loop-2 candidate, which only runs inference, the
+    baseline's loop-1 inference span."""
+    if rec.stage == "prune":
+        return report_from_dict(baseline.extra["eval_energy"])
+    return baseline.energy
 
 
-def _score(records: list[CandidateRecord], w: float, ref_energy: EnergyReport) -> None:
-    """Sets rho, phi (saving relative to `ref_energy`) and R on every record."""
+def _score(records: list[CandidateRecord], w: float, baseline: CandidateRecord) -> None:
+    """Sets rho, phi (saving relative to `_reference_energy`) and R on every record."""
     for rec in records:
         rec.rho = rank_mod.performance_score(rec.scores)
-        rec.phi = rank_mod.efficiency_score(rec.energy, ref_energy)
+        rec.phi = rank_mod.efficiency_score(rec.energy, _reference_energy(baseline, rec))
         rec.r_score = rank_mod.rank_score(rec.phi, rec.rho, w)
 
 
@@ -243,59 +263,37 @@ def _score(records: list[CandidateRecord], w: float, ref_energy: EnergyReport) -
 CANDIDATE_ERRORS = (tinylm.LmError, quant_mod.QuantError, prune_mod.PruneError, MetricError)
 
 
-def _failed(cid: str, lineage: dict, stage: str, exc: Exception) -> CandidateRecord:
+def _failed(cid: str, lineage: Lineage, stage: str, exc: Exception) -> CandidateRecord:
     return CandidateRecord(id=cid, lineage=lineage, status="failed",
                            error=f"{type(exc).__name__}: {exc}", stage=stage)
 
 
 def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: PipelineConfig,
-                   meter: Meter, eval_records, base_eval_energy: EnergyReport):
+                   meter: Meter, eval_records, baseline: CandidateRecord):
     """Loop 2: for each selected model, the unpruned reference evaluation plus
     every unstructured ratio and every N:M pattern, all metered at inference.
-    phi is relative to the baseline model's inference-span energy."""
+    phi is relative to `baseline`'s loop-1 inference span."""
     records: list[CandidateRecord] = []
     for parent in topk:
-        art = artifacts[parent.id]
-        bundle: ModelBundle = art["bundle"]
-        adapters = art["adapters"]
-        if parent.lineage["precision_bits"] == 32:
-            eff_bundle = tinylm.merge_adapters(bundle, adapters)
-            eff_adapters = None
-        else:
-            eff_bundle, eff_adapters = bundle, adapters
+        bundle, adapters = artifacts[parent.id]["bundle"], artifacts[parent.id]["adapters"]
+        if parent.lineage.precision_bits == 32:  # adapters merge only into float weights
+            bundle, adapters = tinylm.merge_adapters(bundle, adapters), None
 
-        variants: list[tuple[str, prune_mod.PruneSpec | None]] = [(f"{parent.id}-unpruned", None)]
-        for ratio in config.prune_ratios:
-            variants.append((
-                f"{parent.id}-mag{int(round(ratio * 100))}",
-                prune_mod.PruneSpec("unstructured-magnitude", ratio=ratio),
-            ))
-        for n, m in config.nm_patterns:
-            variants.append((
-                f"{parent.id}-nm{n}x{m}",
-                prune_mod.PruneSpec("structured-nm", n=n, m=m),
-            ))
-
-        for cid, spec in variants:
-            lineage = {
-                "precision_bits": parent.lineage["precision_bits"],
-                "epochs_trained": parent.lineage["epochs_trained"],
-                "prune": spec.to_dict() if spec else None,
-                "parent_id": parent.id,
-            }
+        for suffix, spec in config.prune_variants():
+            cid = f"{parent.id}-{suffix}"
+            lineage = dataclasses.replace(parent.lineage, parent_id=parent.id,
+                                          prune=spec.to_dict() if spec else None)
             try:
-                pruned = prune_mod.prune_bundle(eff_bundle, spec) if spec else eff_bundle
-                if spec:
-                    lineage["sparsity"] = pruned.lineage.sparsity
+                pruned = prune_mod.prune_bundle(bundle, spec) if spec else bundle
+                # pruning already measured what it left; the unpruned model is measured here
+                lineage.sparsity = pruned.lineage.sparsity if spec else prune_mod.sparsity(pruned)
                 model = tinylm.TinyLm(pruned)
                 scores, energy = evaluate_model(
-                    model, eff_adapters, eval_records, meter, config.max_new_tokens
+                    model, adapters, eval_records, meter, config.max_new_tokens
                 )
                 rec = CandidateRecord(
                     id=cid, lineage=lineage, scores=scores, energy=energy,
-                    stage="prune",
-                    extra={"payload_bytes": payload_bytes(pruned),
-                           "sparsity": prune_mod.sparsity(pruned)},
+                    stage="prune", extra={"payload_bytes": payload_bytes(pruned)},
                 )
             except CANDIDATE_ERRORS as e:
                 rec = _failed(cid, lineage, "prune", e)
@@ -303,7 +301,7 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         raise StageError("prune-grid: every candidate failed")
-    _score(ok, config.w, base_eval_energy)
+    _score(ok, config.w, baseline)
     return records
 
 
@@ -320,20 +318,20 @@ CSV_COLUMNS = [
 
 
 def _csv_row(rec: CandidateRecord, w: float) -> dict:
-    prune = rec.lineage.get("prune") or {}
+    prune = rec.lineage.prune or {}
     row = {
         "id": rec.id,
         "stage": rec.stage,
         "status": rec.status,
         "baseline": int(rec.baseline),
-        "parent_id": rec.lineage.get("parent_id") or "",
-        "precision_bits": rec.lineage.get("precision_bits"),
-        "epochs_trained": rec.lineage.get("epochs_trained"),
+        "parent_id": rec.lineage.parent_id or "",
+        "precision_bits": rec.lineage.precision_bits,
+        "epochs_trained": rec.lineage.epochs_trained,
         "prune_method": prune.get("method", ""),
         "prune_ratio": prune.get("ratio", ""),
         "prune_n": prune.get("n", ""),
         "prune_m": prune.get("m", ""),
-        "sparsity": rec.extra.get("sparsity", rec.lineage.get("sparsity", "")),
+        "sparsity": rec.lineage.sparsity,  # None (loop 1) writes as an empty cell
         "payload_bytes": rec.extra.get("payload_bytes", ""),
         "phi": rec.phi, "rho": rec.rho, "w": w, "R": rec.r_score,
     }
@@ -351,30 +349,24 @@ def _csv_row(rec: CandidateRecord, w: float) -> dict:
     return row
 
 
-def emit_report(records: list[CandidateRecord], config: PipelineConfig, out_dir) -> dict:
+def emit_report(records: list[CandidateRecord], baseline: CandidateRecord,
+                config: PipelineConfig, out_dir) -> dict:
     """Write report.json (raw), report.csv (flat), report.md (ranked summary)."""
-    if not records:
-        raise StageError("emit_report: empty collection")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    baseline = next((r for r in records if r.baseline), None)
     ok = [r for r in records if r.status == "ok"]
-    ranked = sorted(ok, key=lambda r: (-r.r_score,
-                                       r.energy.total_joules if r.energy else 0.0,
-                                       r.id))
-    derived = {}
-    if baseline and baseline.energy:
-        for rec in ok:
-            if rec.energy is None:
-                continue
-            ref = _eval_energy(baseline) if rec.stage == "prune" else baseline.energy
-            derived[rec.id] = {
-                "energy_saving_pct": 100.0 * (1.0 - rec.energy.total_joules / ref.total_joules),
-                "mean_metric_delta": rec.rho - baseline.rho,
-            }
+    ranked = sorted(ok, key=lambda r: (-r.r_score, r.energy.total_joules, r.id))
+    derived = {
+        rec.id: {
+            "energy_saving_pct": 100.0 * (1.0 - rec.energy.total_joules
+                                          / _reference_energy(baseline, rec).total_joules),
+            "mean_metric_delta": rec.rho - baseline.rho,
+        }
+        for rec in ok
+    }
     payload = {
         "config": config.to_dict(),
-        "baseline_id": baseline.id if baseline else None,
+        "baseline_id": baseline.id,
         "candidates": [r.to_dict() for r in records],
         "derived": derived,
     }
@@ -389,18 +381,18 @@ def emit_report(records: list[CandidateRecord], config: PipelineConfig, out_dir)
             writer.writerow(_csv_row(rec, config.w))
 
     lines = ["# Energy/performance run report", "",
-             f"Baseline: `{baseline.id if baseline else 'n/a'}`", "",
+             f"Baseline: `{baseline.id}`", "",
              "## Ranked candidates", "",
              "| rank | id | bits | prune | R | phi | rho | total J | kWh | kgCO2e |",
              "|---|---|---|---|---|---|---|---|---|---|"]
     for i, rec in enumerate(ranked, 1):
-        prune = rec.lineage.get("prune") or {}
+        prune = rec.lineage.prune or {}
         pdesc = (prune.get("method", "") +
                  (f" {prune['ratio']}" if prune.get("ratio") else "") +
                  (f" {prune['n']}:{prune['m']}" if prune.get("n") else "")) or "-"
         e = rec.energy
         lines.append(
-            f"| {i} | {rec.id} | {rec.lineage.get('precision_bits')} | {pdesc} "
+            f"| {i} | {rec.id} | {rec.lineage.precision_bits} | {pdesc} "
             f"| {rec.r_score:.4f} | {rec.phi:.4f} | {rec.rho:.4f} "
             f"| {e.total_joules:.3f} | {e.kwh:.3e} | {e.co2e_kg:.3e} |"
         )
@@ -469,11 +461,6 @@ def load_artifacts(ids: list[str], out_dir) -> dict:
     return artifacts
 
 
-def _eval_energy(baseline: CandidateRecord) -> EnergyReport:
-    """The baseline's loop-1 inference-span energy: loop 2's phi reference."""
-    return report_from_dict(baseline.extra["eval_energy"])
-
-
 def _load_dataset(path) -> list[DatasetRecord]:
     try:
         return load_jsonl(path)
@@ -503,6 +490,16 @@ def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord
     return records
 
 
+def load_loop1(out_dir) -> tuple[list[CandidateRecord], CandidateRecord]:
+    """candidates_loop1.json's records and the baseline among them."""
+    path = Path(out_dir) / "candidates_loop1.json"
+    records = load_candidates(path)
+    baseline = next((r for r in records if r.baseline), None)
+    if baseline is None:
+        raise StageError(f"{path} has no baseline candidate")
+    return records, baseline
+
+
 def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
     """Top-k of loop 1 by R; writes topk.json."""
     out = Path(config.out_dir)
@@ -515,15 +512,11 @@ def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
 def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
     """Loop 2 over topk.json's models; writes candidates_loop2.json."""
     out = Path(config.out_dir)
-    loop1_path = out / "candidates_loop1.json"
-    baseline = next((r for r in load_candidates(loop1_path) if r.baseline), None)
-    if baseline is None:
-        raise StageError(f"{loop1_path} has no baseline candidate")
+    _, baseline = load_loop1(out)
     topk = load_candidates(out / "topk.json")
     artifacts = load_artifacts([r.id for r in topk], out)
     eval_records = _load_dataset(config.eval_path)
-    records = run_prune_grid(topk, artifacts, config, meter, eval_records,
-                             _eval_energy(baseline))
+    records = run_prune_grid(topk, artifacts, config, meter, eval_records, baseline)
     save_candidates(records, out / "candidates_loop2.json")
     return records
 
@@ -531,11 +524,11 @@ def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
 def report_stage(config: PipelineConfig) -> dict:
     """report.json/.csv/.md over loop 1 and, when it has run, loop 2."""
     out = Path(config.out_dir)
-    records = load_candidates(out / "candidates_loop1.json")
+    records, baseline = load_loop1(out)
     loop2_path = out / "candidates_loop2.json"
     if loop2_path.exists():
         records += load_candidates(loop2_path)
-    return emit_report(records, config, out)
+    return emit_report(records, baseline, config, out)
 
 
 def run_all(config: PipelineConfig, meter: Meter | None = None) -> dict:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .meter import EnergyReport, report_from_dict
 from .metrics import MetricScores
+from .tensors import Lineage
 from .tinylm import TrainRecord
 
 
@@ -21,7 +22,7 @@ class RankError(Exception):
 @dataclass
 class CandidateRecord:
     id: str
-    lineage: dict
+    lineage: Lineage
     scores: MetricScores | None = None
     energy: EnergyReport | None = None
     phi: float = 0.0
@@ -37,7 +38,7 @@ class CandidateRecord:
     def to_dict(self) -> dict:
         return {
             "id": self.id,
-            "lineage": self.lineage,
+            "lineage": self.lineage.to_dict(),
             "scores": self.scores.to_dict() if self.scores else None,
             "energy": self.energy.to_dict() if self.energy else None,
             "phi": self.phi,
@@ -64,7 +65,7 @@ class CandidateRecord:
             return report_from_dict(obj["energy"]) if obj.get("energy") else None
 
         return cls(
-            id=d["id"], lineage=d["lineage"],
+            id=d["id"], lineage=Lineage.from_dict(d["lineage"]),
             scores=MetricScores(**d["scores"]) if d.get("scores") else None,
             energy=energy(d),
             phi=d.get("phi", 0.0), rho=d.get("rho", 0.0), r_score=d.get("R", 0.0),

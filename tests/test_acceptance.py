@@ -21,7 +21,7 @@ from ealm.metrics import bleu, cosine, meteor, rouge_l, rouge_n
 from ealm.prune import magnitude_mask, nm_mask
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
 from ealm.rank import CandidateRecord, rank_score, select_top_k
-from ealm.tensors import LmConfig, payload_bytes, tensor_payload_bytes
+from ealm.tensors import Lineage, LmConfig, payload_bytes, tensor_payload_bytes
 
 from f16_oracle import f32_to_f16_bits
 
@@ -51,7 +51,7 @@ def test_criterion_1_eq1_suite():
         assert abs(rank_score(phi, rho, w) - (w * phi + (1 - w) * rho)) <= 1e-12
 
     # boundary recoveries: w = 1 ranks purely by phi, w = 0 purely by rho
-    recs = [CandidateRecord(id=f"c{i}", lineage={}, phi=float(p), rho=float(r))
+    recs = [CandidateRecord(id=f"c{i}", lineage=Lineage(), phi=float(p), rho=float(r))
             for i, (p, r, _) in enumerate(triples[:50])]
     for rec in recs:
         rec.r_score = rank_score(rec.phi, rec.rho, 1.0)

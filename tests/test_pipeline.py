@@ -2,16 +2,21 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
 from ealm import cli, tinylm
 from ealm import pipeline as pl
+from ealm import prune as prune_mod
 from ealm.data import generate_synthetic_corpus, save_jsonl
 from ealm.meter import Meter
 from ealm.rank import select_top_k
-from ealm.tensors import BundleError
+from ealm.tensors import BundleError, Lineage, load_bundle
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def make_config(tmp_path, **overrides) -> pl.PipelineConfig:
@@ -143,6 +148,42 @@ def test_candidate_persistence_roundtrip(tmp_path):
     art["bundle"].validate()
 
 
+def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypatch):
+    evaluated = []
+    original = tinylm.TinyLm.__init__
+
+    def remember(self, bundle):
+        evaluated.append(prune_mod.sparsity(bundle))
+        original(self, bundle)
+
+    monkeypatch.setattr(tinylm.TinyLm, "__init__", remember)
+    cfg = make_config(tmp_path)
+    pl.run_all(cfg)
+    out = tmp_path / "out"
+    loop1 = pl.load_candidates(out / "candidates_loop1.json")
+    loop2 = pl.load_candidates(out / "candidates_loop2.json")
+    for rec in loop1:
+        assert rec.lineage.sparsity is None
+        assert load_bundle(out / "artifacts" / f"{rec.id}.ealm").lineage == rec.lineage
+    # one model per loop-1 cell, then one per loop-2 variant, in record order
+    assert len(evaluated) == len(loop1) + len(loop2)
+    assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1):]
+    assert any(r.lineage.prune is None for r in loop2)
+
+
+def test_readme_quickstart_config_loads():
+    block = re.search(r"cat > config.json <<'EOF'\n(.*?)\nEOF", README.read_text(), re.S)
+    cfg = pl.PipelineConfig.from_dict(json.loads(block.group(1)))
+    assert cfg.bits_grid == [4, 8, 16, 32]
+
+
+def test_readme_lineage_example_is_a_lineage():
+    blocks = re.findall(r"```json\n(.*?)\n```", README.read_text(), re.S)
+    example = json.loads(next(b for b in blocks if '"epochs_trained"' in b))
+    assert list(example) == list(Lineage().to_dict())
+    assert Lineage.from_dict(example).to_dict() == example
+
+
 def test_select_topk_used_for_loop2_parents(tmp_path):
     cfg = make_config(tmp_path, k=2)
     payload = pl.run_all(cfg)
@@ -272,6 +313,20 @@ def test_cli_exit_codes(tmp_path):
     pytest.param({"meter": {"source": "powercap"}}, None, id="powercap-without-paths"),
     pytest.param({}, "powercap", id="powercap-spec-without-paths"),
     pytest.param(None, None, id="missing-config-file"),
+    pytest.param({"epochs_grid": [0]}, None, id="epochs-0"),
+    pytest.param({"epochs_grid": [-2]}, None, id="epochs-negative"),
+    pytest.param({"lora_rank": 0}, None, id="lora-rank-0"),
+    pytest.param({"max_new_tokens": 0}, None, id="max-new-tokens-0"),
+    pytest.param({"max_new_tokens": -1}, None, id="max-new-tokens-negative"),
+    pytest.param({"lr": -1.0}, None, id="lr-negative"),
+    pytest.param({"lr": 0.0}, None, id="lr-0"),
+    pytest.param({"lr": float("nan")}, None, id="lr-nan"),
+    pytest.param({"lr": float("inf")}, None, id="lr-inf"),
+    pytest.param({"bits_grid": [32, 32]}, None, id="repeated-bits"),
+    pytest.param({"epochs_grid": [1, 1]}, None, id="repeated-epochs"),
+    pytest.param({"prune_ratios": [0.5, 0.5]}, None, id="repeated-ratio"),
+    pytest.param({"prune_ratios": [0.1, 0.104]}, None, id="ratios-one-id"),
+    pytest.param({"nm_patterns": [[2, 4], [2, 4]]}, None, id="repeated-nm"),
 ])
 def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, meter_spec):
     cfg_path = tmp_path / "cfg.json"
@@ -352,6 +407,9 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "artifacts/{top}.adapters.npz"),
     ("prune-grid", None),  # candidates_loop1.json is there but has no baseline
     ("report", "candidates_loop1.json"),
+    ("report", None),
+    # a record whose lineage is not a Lineage
+    ("rank", "lineage-key:candidates_loop1.json"),
     # there but cut short, as a killed writer could leave it
     ("rank", "truncated:candidates_loop1.json"),
     ("prune-grid", "truncated:topk.json"),
@@ -366,6 +424,11 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
         victim = out / missing.removeprefix("truncated:").format(top=top)
         data = victim.read_bytes()
         victim.write_bytes(data[: len(data) // 2])
+    elif missing and missing.startswith("lineage-key:"):
+        victim = out / missing.removeprefix("lineage-key:")
+        recs = json.loads(victim.read_text())
+        recs[0]["lineage"]["bogus"] = 1
+        victim.write_text(json.dumps(recs))
     elif missing:
         victim = out / missing.format(top=top)
         victim.unlink()

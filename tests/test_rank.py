@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from ealm.rank import (
     rank_score,
     select_top_k,
 )
+from ealm.tensors import Lineage
+from ealm.tinylm import TrainRecord
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -21,7 +25,7 @@ def rep(j):
 
 
 def cand(id, r, joules=1.0, **kw):
-    return CandidateRecord(id=id, lineage={}, r_score=r, energy=rep(joules), **kw)
+    return CandidateRecord(id=id, lineage=Lineage(), r_score=r, energy=rep(joules), **kw)
 
 
 def test_rank_score_formula():
@@ -87,3 +91,17 @@ def test_record_serialization():
     assert d["energy"]["total_joules"] == 2.0
     assert d["scores"] is None
     assert d["train_records"] == []
+
+
+def test_record_roundtrips_through_json():
+    r = CandidateRecord(
+        id="x-mag50", r_score=0.25, energy=rep(2.0), phi=0.5, rho=0.75, stage="prune",
+        lineage=Lineage(precision_bits=4, epochs_trained=3, parent_id="x",
+                        prune={"method": "unstructured-magnitude", "ratio": 0.5,
+                               "n": None, "m": None, "scope": "per-tensor"},
+                        sparsity=0.5),
+        scores=MetricScores(bleu=0.1, rouge1_f=0.2, rouge2_f=0.3, rougeL_f=0.4,
+                            meteor=0.5, cosine=0.6, tokens_per_s=7.0),
+        train_records=[TrainRecord(epoch=1, loss=2.5, energy=rep(1.5))],
+        extra={"payload_bytes": 123})
+    assert CandidateRecord.from_dict(json.loads(json.dumps(r.to_dict()))) == r
