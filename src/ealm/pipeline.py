@@ -501,9 +501,11 @@ def load_loop1(out_dir) -> tuple[list[CandidateRecord], CandidateRecord]:
 
 
 def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
-    """Top-k of loop 1 by R; writes topk.json."""
+    """Top-k of loop 1 by R at `config.w`; writes topk.json."""
     out = Path(config.out_dir)
-    ok = [r for r in load_candidates(out / "candidates_loop1.json") if r.status == "ok"]
+    records, baseline = load_loop1(out)
+    ok = [r for r in records if r.status == "ok"]
+    _score(ok, config.w, baseline)  # w may differ from the one finetune-grid used
     topk = rank_mod.select_top_k(ok, config.k)
     save_candidates(topk, out / "topk.json")
     return topk
@@ -522,12 +524,14 @@ def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
 
 
 def report_stage(config: PipelineConfig) -> dict:
-    """report.json/.csv/.md over loop 1 and, when it has run, loop 2."""
+    """report.json/.csv/.md over loop 1 and, when it has run, loop 2, scored
+    at `config.w`."""
     out = Path(config.out_dir)
     records, baseline = load_loop1(out)
     loop2_path = out / "candidates_loop2.json"
     if loop2_path.exists():
         records += load_candidates(loop2_path)
+    _score([r for r in records if r.status == "ok"], config.w, baseline)
     return emit_report(records, baseline, config, out)
 
 

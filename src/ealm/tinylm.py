@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,6 +170,18 @@ def _layernorm_backward(dy, cache):
     )
 
 
+@dataclass
+class KvCache:
+    """What `TinyLm.forward_cached` keeps between calls that continue one
+    sequence under one (model, adapters) pair: per layer, the keys and values
+    of the `length` positions seen so far, each (heads, length, d_head), and
+    the effective weight matrices, built on first use."""
+    length: int = 0
+    k: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
+    w: list[dict[str, np.ndarray]] = field(default_factory=list)
+
+
 class TinyLm:
     """Runtime view of a bundle: dense float32 weights plus optional adapters."""
 
@@ -185,12 +197,13 @@ class TinyLm:
             w = w + adapters.scaling * (adapters.a[name] @ adapters.b[name])
         return w.astype(np.float32)
 
-    def _check_tokens(self, tokens) -> np.ndarray:
+    def _check_tokens(self, tokens, start: int) -> np.ndarray:
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.size == 0:
             raise LmError("empty token sequence")
-        if ids.size > self.config.max_seq:
-            raise LmError(f"sequence length {ids.size} exceeds max_seq {self.config.max_seq}")
+        if start + ids.size > self.config.max_seq:
+            raise LmError(f"sequence length {start + ids.size} exceeds max_seq "
+                          f"{self.config.max_seq}")
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise LmError(f"token id out of range [0, {self.config.vocab_size})")
         return ids
@@ -202,19 +215,32 @@ class TinyLm:
     def _merge_heads(self, x):
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
-    def forward_cached(self, tokens, adapters: LoraAdapters | None = None):
-        ids = self._check_tokens(tokens)
+    def forward_cached(self, tokens, adapters: LoraAdapters | None = None,
+                       kv: KvCache | None = None):
+        """Logits of `tokens` and the activations backward needs. With `kv`,
+        `tokens` continue the sequence the cache holds, and their keys and
+        values are appended to it."""
+        start = kv.length if kv is not None else 0
+        ids = self._check_tokens(tokens, start)
         T = ids.size
-        x = (self.w["tok_emb"][ids] + self.w["pos_emb"][:T]).astype(np.float32)
-        causal = np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1)
+        x = (self.w["tok_emb"][ids] + self.w["pos_emb"][start:start + T]).astype(np.float32)
+        causal = np.triu(np.full((T, start + T), -1e9, dtype=np.float32), k=start + 1)
         layers = []
         for i in range(self.config.n_layers):
             p = f"layers.{i}."
-            w = {m: self._eff(p + m, adapters) for m in WEIGHT_MATRICES}
+            cached = kv is not None and i < len(kv.w)
+            w = kv.w[i] if cached else {m: self._eff(p + m, adapters) for m in WEIGHT_MATRICES}
             h, ln1c = _layernorm(x, self.w[p + "ln1.g"], self.w[p + "ln1.b"])
             q = self._split_heads(h @ w["attn.wq"])
             k = self._split_heads(h @ w["attn.wk"])
             v = self._split_heads(h @ w["attn.wv"])
+            if cached:
+                k = kv.k[i] = np.concatenate([kv.k[i], k], axis=1)
+                v = kv.v[i] = np.concatenate([kv.v[i], v], axis=1)
+            elif kv is not None:
+                kv.w.append(w)
+                kv.k.append(k)
+                kv.v.append(v)
             scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_head) + causal
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
@@ -225,6 +251,8 @@ class TinyLm:
             x = x + g @ w["mlp.w2"]
             layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
                                o=o, ln2c=ln2c, h2=h2, u=u, g=g))
+        if kv is not None:
+            kv.length += T
         xf, lnfc = _layernorm(x, self.w["ln_f.g"], self.w["ln_f.b"])
         return (xf @ self.w["head"]).astype(np.float32), dict(layers=layers, lnfc=lnfc)
 
@@ -326,14 +354,17 @@ def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new:
     if len(prompt) > model.config.max_seq:
         raise LmError(f"prompt length {len(prompt)} exceeds max_seq {model.config.max_seq}")
     seq = list(prompt)
+    kv = KvCache()  # each position goes through the model once
+    new = list(prompt)
     for _ in range(max_new):
         if len(seq) >= model.config.max_seq:
             break
-        logits = model.forward(seq, adapters)
+        logits = model.forward_cached(new, adapters, kv)[0]
         nxt = int(np.argmax(logits[-1]))  # argmax breaks ties toward lowest id
         seq.append(nxt)
         if nxt == EOS_ID:
             break
+        new = [nxt]
     return seq
 
 

@@ -388,6 +388,37 @@ def test_cli_staged_flow(tmp_path):
         assert scrub_volatile(whole) == scrub_volatile(staged), name
 
 
+def test_w_override_after_loop1_rescores(tmp_path):
+    cfg, cfg_path = write_trace_config(tmp_path)
+    cfg_path.write_text(json.dumps(dict(cfg.to_dict(), epochs_grid=[1, 2])))
+    assert cfg.w == 0.7
+    args = ["--config", str(cfg_path)]
+    assert cli.main(["finetune-grid"] + args) == 0
+    out = tmp_path / "out"
+    # Give a 2-epoch candidate, whose phi is 0 against the 1-epoch ones' 1/3,
+    # the best quality: at w 0.7 it ranks low, at w 0.0 it ranks first.
+    loop1_path = out / "candidates_loop1.json"
+    loop1 = json.loads(loop1_path.read_text())
+    slow = next(r for r in loop1 if r["id"] == "ft-b4-e2")
+    slow["scores"].update(bleu=0.5, rouge1_f=0.5, rouge2_f=0.5, rougeL_f=0.5, meteor=0.5,
+                          cosine=0.5)
+    loop1_path.write_text(json.dumps(loop1))
+
+    assert cli.main(["rank", "--w", "0.0"] + args) == 0
+    assert cli.main(["prune-grid"] + args) == 0
+    assert cli.main(["report", "--w", "0.0"] + args) == 0
+    topk = json.loads((out / "topk.json").read_text())
+    assert [r["id"] for r in topk] == ["ft-b4-e2"]
+    assert topk[0]["R"] == topk[0]["rho"] == 0.5
+
+    with open(out / "report.csv", newline="", encoding="utf-8") as f:
+        rows = [r for r in csv.DictReader(f) if r["status"] == "ok"]
+    assert {r["stage"] for r in rows} == {"finetune", "prune"}
+    for row in rows:
+        assert float(row["w"]) == 0.0
+        assert float(row["R"]) == float(row["rho"]), row["id"]
+
+
 @pytest.fixture(scope="module")
 def ranked_state(tmp_path_factory):
     """A config plus the out dir that finetune-grid and rank leave behind."""
@@ -405,7 +436,8 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "topk.json"),
     ("prune-grid", "artifacts/{top}.ealm"),
     ("prune-grid", "artifacts/{top}.adapters.npz"),
-    ("prune-grid", None),  # candidates_loop1.json is there but has no baseline
+    ("rank", None),  # candidates_loop1.json is there but has no baseline
+    ("prune-grid", None),
     ("report", "candidates_loop1.json"),
     ("report", None),
     # a record whose lineage is not a Lineage

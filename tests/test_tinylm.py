@@ -3,10 +3,14 @@ import pytest
 
 from ealm import tinylm
 from ealm.data import generate_synthetic_corpus
+from ealm.prune import PruneSpec, prune_bundle
 from ealm.quant import QuantSpec, quantize_bundle
 from ealm.tensors import LmConfig, bundles_equal
 from ealm.tinylm import (
+    BOS_ID,
     EOS_ID,
+    SEP_BYTE,
+    KvCache,
     LmError,
     TinyLm,
     encode_example,
@@ -147,6 +151,99 @@ def test_greedy_decode_contract():
     assert a == b
     with pytest.raises(LmError):
         greedy_decode(model, adapters, [], 4)
+    # generation stops once the sequence fills max_seq
+    near_full = [BOS_ID] + [SEP_BYTE] * (CFG.max_seq - 3)
+    assert len(greedy_decode(model, adapters, near_full, 10)) == CFG.max_seq
+    full = [BOS_ID] * CFG.max_seq
+    assert greedy_decode(model, adapters, full, 4) == full
+    with pytest.raises(LmError):
+        greedy_decode(model, adapters, full + [BOS_ID], 4)
+
+
+def trained_setup(bundle=None):
+    """A model and adapters after three training epochs, so B is nonzero."""
+    base, adapters, seqs = small_setup()
+    model = TinyLm(bundle or base)
+    for e in range(3):
+        adapters, _ = train_epoch(model, adapters, seqs, lr=0.05, epoch=e + 1)
+    assert all(np.any(b != 0) for b in adapters.b.values())
+    return model, adapters, seqs
+
+
+def test_kv_cache_chunks_match_full_forward():
+    model, adapters, seqs = trained_setup()
+    seq = seqs[0]
+    full = model.forward(seq, adapters)
+    n_prompt = seq.index(SEP_BYTE) + 1
+    bounds = [0, n_prompt, n_prompt + 1, n_prompt + 2, n_prompt + 5]
+    kv = KvCache()
+    for lo, hi in zip(bounds, bounds[1:]):
+        logits, _ = model.forward_cached(seq[lo:hi], adapters, kv)
+        assert kv.length == hi
+        np.testing.assert_allclose(logits, full[lo:hi], rtol=1e-5, atol=1e-6)
+
+
+def test_kv_cache_rejects_overflow_and_keeps_its_state():
+    model = TinyLm(init_model(CFG))
+    kv = KvCache()
+    model.forward_cached([BOS_ID] * (CFG.max_seq - 1), None, kv)
+    with pytest.raises(LmError):
+        model.forward_cached([SEP_BYTE, SEP_BYTE], None, kv)
+    assert kv.length == CFG.max_seq - 1
+    assert model.forward_cached([SEP_BYTE], None, kv)[0].shape == (1, CFG.vocab_size)
+    assert kv.length == CFG.max_seq
+
+
+def reference_decode(model, adapters, prompt, max_new):
+    """Greedy decoding that runs the whole sequence through the model each step."""
+    seq = list(prompt)
+    for _ in range(max_new):
+        if len(seq) >= model.config.max_seq:
+            break
+        nxt = int(np.argmax(model.forward(seq, adapters)[-1]))
+        seq.append(nxt)
+        if nxt == EOS_ID:
+            break
+    return seq
+
+
+def test_greedy_decode_matches_full_sequence_reference():
+    base, _, _ = small_setup()
+    q4_model, q4_adapters, _ = trained_setup(quantize_bundle(base, QuantSpec(4)))
+    _, adapters, _ = trained_setup()
+    merged = merge_adapters(base, adapters)
+    pruned = prune_bundle(merged, PruneSpec("structured-nm", n=2, m=4))
+    cases = [(q4_model, q4_adapters), (TinyLm(merged), None), (TinyLm(pruned), None)]
+    prompts = [encode_prompt("fault e01 link"), encode_prompt("fault e02 cpu")]
+    for model, ads in cases:
+        for prompt in prompts:
+            got = greedy_decode(model, ads, prompt, 40)
+            assert len(got) > len(prompt) + 1
+            assert got == reference_decode(model, ads, prompt, 40)
+
+
+@pytest.mark.parametrize("stop", ["eos", "max_new", "max_seq"])
+def test_greedy_decode_runs_each_position_once(monkeypatch, stop):
+    model, adapters, _ = trained_setup()
+    positions = []
+    real = TinyLm.forward_cached
+
+    def counting(self, tokens, *args, **kwargs):
+        positions.append(len(tokens))
+        logits, cache = real(self, tokens, *args, **kwargs)
+        if stop == "eos" and len(positions) == 4:
+            logits[-1, EOS_ID] = logits.max() + 1.0
+        return logits, cache
+
+    monkeypatch.setattr(TinyLm, "forward_cached", counting)
+    prompt = encode_prompt("fault e01 link")
+    if stop == "max_seq":
+        prompt = prompt + [SEP_BYTE] * (CFG.max_seq - 3 - len(prompt))
+    out = greedy_decode(model, adapters, prompt, 5)
+    generated = out[len(prompt):]
+    assert len(generated) == {"eos": 4, "max_new": 5, "max_seq": 3}[stop]
+    assert (generated[-1] == EOS_ID) == (stop == "eos")
+    assert sum(positions) == len(prompt) + len(generated) - 1
 
 
 def test_merge_adapters_equivalence():
