@@ -26,6 +26,11 @@ class DatasetRecord:
 
 
 def load_jsonl(path) -> list[DatasetRecord]:
+    return [rec for _, rec in read_jsonl(path)]
+
+
+def read_jsonl(path) -> list[tuple[int, DatasetRecord]]:
+    """Each record of a JSONL dataset with its 1-based line number."""
     records = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -36,7 +41,8 @@ def load_jsonl(path) -> list[DatasetRecord]:
             continue
         try:
             obj = json.loads(line)
-            records.append(DatasetRecord(prompt=obj["prompt"], reference=obj["reference"]))
+            records.append((lineno, DatasetRecord(prompt=obj["prompt"],
+                                                  reference=obj["reference"])))
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise DataError(f"{path}:{lineno}: bad record: {e}") from e
     if not records:

@@ -19,7 +19,7 @@ from . import prune as prune_mod
 from . import quant as quant_mod
 from . import rank as rank_mod
 from . import tinylm
-from .data import DataError, DatasetRecord, load_jsonl
+from .data import DataError, DatasetRecord, read_jsonl
 from .meter import (
     EnergyReport,
     Meter,
@@ -461,11 +461,21 @@ def load_artifacts(ids: list[str], out_dir) -> dict:
     return artifacts
 
 
-def _load_dataset(path) -> list[DatasetRecord]:
+def _load_dataset(path, max_seq: int | None = None) -> list[DatasetRecord]:
+    """A dataset's records. Given `max_seq` (for the eval set), a prompt that
+    encodes (BOS + bytes + SEP) to more tokens is refused before any work:
+    greedy decoding could not start it."""
     try:
-        return load_jsonl(path)
+        numbered = read_jsonl(path)
     except DataError as e:
         raise StageError(f"dataset loading: {e}") from e
+    if max_seq is not None:
+        for lineno, rec in numbered:
+            n = len(tinylm.encode_prompt(rec.prompt))
+            if n > max_seq:
+                raise StageError(f"{path}:{lineno}: eval prompt encodes to {n} tokens, "
+                                 f"more than max_seq {max_seq}")
+    return [rec for _, rec in numbered]
 
 
 def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
@@ -481,7 +491,7 @@ def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
 def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
     """Loop 1; writes candidates_loop1.json and artifacts/."""
     train_records = _load_dataset(config.train_path)
-    eval_records = _load_dataset(config.eval_path)
+    eval_records = _load_dataset(config.eval_path, config.max_seq)
     records, artifacts = run_finetune_grid(config, meter, train_records, eval_records)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -513,11 +523,11 @@ def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
 
 def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
     """Loop 2 over topk.json's models; writes candidates_loop2.json."""
+    eval_records = _load_dataset(config.eval_path, config.max_seq)
     out = Path(config.out_dir)
     _, baseline = load_loop1(out)
     topk = load_candidates(out / "topk.json")
     artifacts = load_artifacts([r.id for r in topk], out)
-    eval_records = _load_dataset(config.eval_path)
     records = run_prune_grid(topk, artifacts, config, meter, eval_records, baseline)
     save_candidates(records, out / "candidates_loop2.json")
     return records

@@ -133,14 +133,16 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-GELU of `x`, and the tanh that `_gelu_grad` reuses. Powers are
+    products: numpy's float32 `x**3` is ~100x slower than `x * x * x`."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx, given the tanh `_gelu(x)` returned."""
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
 
 
 def _nll(logits: np.ndarray, seq):
@@ -195,7 +197,7 @@ class TinyLm:
         w = self.w[name]
         if adapters is not None and name in adapters.a:
             w = w + adapters.scaling * (adapters.a[name] @ adapters.b[name])
-        return w.astype(np.float32)
+        return w.astype(np.float32, copy=False)
 
     def _check_tokens(self, tokens, start: int) -> np.ndarray:
         ids = np.asarray(tokens, dtype=np.int64)
@@ -247,10 +249,10 @@ class TinyLm:
             x = x + o @ w["attn.wo"]
             h2, ln2c = _layernorm(x, self.w[p + "ln2.g"], self.w[p + "ln2.b"])
             u = h2 @ w["mlp.w1"]
-            g = _gelu(u)
+            g, gt = _gelu(u)
             x = x + g @ w["mlp.w2"]
             layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
-                               o=o, ln2c=ln2c, h2=h2, u=u, g=g))
+                               o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
         if kv is not None:
             kv.length += T
         xf, lnfc = _layernorm(x, self.w["ln_f.g"], self.w["ln_f.b"])
@@ -259,14 +261,16 @@ class TinyLm:
     def forward(self, tokens, adapters: LoraAdapters | None = None) -> np.ndarray:
         return self.forward_cached(tokens, adapters)[0]
 
-    def _backward_weff(self, dlogits, cache, adapted_names):
-        """Propagate dL/dlogits back; return dL/dW_eff for adapted matrices."""
-        dweff = {}
+    def _backward_io(self, dlogits, cache, adapted_names):
+        """Propagate dL/dlogits back; return, per adapted matrix, its
+        (input, output gradient) pair, so that dL/dW_eff = input.T @ output
+        gradient without forming that p x q product."""
+        io = {}
         dx = _layernorm_backward(dlogits @ self.w["head"].T, cache["lnfc"])
         for lc in reversed(cache["layers"]):
             p, w = lc["p"], lc["w"]
             # MLP branch
-            du = (dx @ w["mlp.w2"].T) * _gelu_grad(lc["u"])
+            du = (dx @ w["mlp.w2"].T) * _gelu_grad(lc["u"], lc["gt"])
             dx1 = dx + _layernorm_backward(du @ w["mlp.w1"].T, lc["ln2c"])
             # attention branch
             do = self._split_heads(dx1 @ w["attn.wo"].T)
@@ -277,14 +281,13 @@ class TinyLm:
             dq = self._merge_heads(dscores @ lc["k"])
             dk = self._merge_heads(dscores.transpose(0, 2, 1) @ lc["q"])
             dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
-            # each matrix's (input, output gradient): dL/dW = input.T @ output gradient
             table = {"attn.wq": (lc["h"], dq), "attn.wk": (lc["h"], dk), "attn.wv": (lc["h"], dv),
                   "attn.wo": (lc["o"], dx1), "mlp.w1": (lc["h2"], du), "mlp.w2": (lc["g"], dx)}
-            for m, (inp, dout) in table.items():
+            for m, pair in table.items():
                 if p + m in adapted_names:
-                    dweff[p + m] = inp.T @ dout
+                    io[p + m] = pair
             dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
-        return dweff
+        return io
 
     def loss_and_grads(self, sequences, adapters: LoraAdapters):
         """Mean next-token cross-entropy over all predicted positions of all
@@ -307,10 +310,11 @@ class TinyLm:
             dlogits[:-1] = probs
             dlogits[np.arange(targets.size), targets] -= 1.0
             dlogits /= n_pred
-            dweff = self._backward_weff(dlogits, cache, adapted)
-            for name, gw in dweff.items():
-                da[name] += s * (gw @ adapters.b[name].T)
-                db[name] += s * (adapters.a[name].T @ gw)
+            # dA = s * dW @ B.T and dB = s * A.T @ dW, with dW = inp.T @ dout
+            # kept factored: the intermediates are T x r and r x q.
+            for name, (inp, dout) in self._backward_io(dlogits, cache, adapted).items():
+                da[name] += s * (inp.T @ (dout @ adapters.b[name].T))
+                db[name] += s * ((inp @ adapters.a[name]).T @ dout)
         return total / n_pred, {n: (da[n], db[n]) for n in da}
 
     def evaluation_loss(self, sequences, adapters: LoraAdapters | None = None) -> float:

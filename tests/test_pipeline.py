@@ -11,8 +11,9 @@ import pytest
 from ealm import cli, tinylm
 from ealm import pipeline as pl
 from ealm import prune as prune_mod
-from ealm.data import generate_synthetic_corpus, save_jsonl
+from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save_jsonl
 from ealm.meter import Meter
+from ealm.metrics import MetricScores
 from ealm.rank import select_top_k
 from ealm.tensors import BundleError, Lineage, load_bundle
 
@@ -196,6 +197,35 @@ def test_select_topk_used_for_loop2_parents(tmp_path):
     assert len(loop1) == 2
 
 
+def test_topk_and_loop2_parents_are_the_top_k_by_r(tmp_path, monkeypatch):
+    # Under trace replay every 1-epoch candidate costs the same joules, so
+    # phi is 0 for all of them and the tie-break would pick by id. Quality
+    # that falls with each loop-1 candidate makes R pick the other way.
+    cfg, _ = write_trace_config(tmp_path)
+    cfg = dataclasses.replace(cfg, bits_grid=[4, 8, 16, 32], k=2)
+    real = pl.score_outputs
+    calls = []
+
+    def falling(pairs, n_tokens, duration_s):
+        q = max(0.8 - 0.2 * len(calls), 0.0)
+        calls.append(q)
+        scores = real(pairs, n_tokens, duration_s)
+        return dataclasses.replace(scores, **{f: q for f in MetricScores.QUALITY_FIELDS})
+
+    monkeypatch.setattr(pl, "score_outputs", falling)
+    payload = pl.run_all(cfg)
+    out = tmp_path / "out"
+    loop1 = [r for r in pl.load_candidates(out / "candidates_loop1.json") if r.status == "ok"]
+    assert len({r.r_score for r in loop1}) == len(loop1) == 4
+    by_r = [r.id for r in sorted(loop1, key=lambda r: -r.r_score)[:cfg.k]]
+    by_tie_break = [r.id for r in sorted(loop1, key=lambda r: (r.energy.total_joules, r.id))]
+    assert by_r == ["ft-b4-e1", "ft-b8-e1"]
+    assert set(by_r).isdisjoint(by_tie_break[:cfg.k])
+    assert [r.id for r in pl.load_candidates(out / "topk.json")] == by_r
+    loop2 = [c for c in payload["candidates"] if c["stage"] == "prune"]
+    assert {c["lineage"]["parent_id"] for c in loop2} == set(by_r)
+
+
 def test_trace_meter_determinism(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("0.0,cpu,10.0\n1.0,cpu,10.0\n")
@@ -214,6 +244,44 @@ def test_stage_error_when_datasets_missing(tmp_path):
     cfg = make_config(tmp_path, train_path=str(tmp_path / "nope.jsonl"))
     with pytest.raises(pl.StageError):
         pl.run_all(cfg)
+
+
+def add_long_eval_prompt(eval_path, n_bytes=70) -> int:
+    """Appends a prompt of `n_bytes` bytes to the eval set; returns its line."""
+    records = load_jsonl(eval_path)
+    save_jsonl(records + [DatasetRecord(prompt="x" * n_bytes, reference="reset card 1")],
+               eval_path)
+    return len(records) + 1
+
+
+def test_too_long_eval_prompt_exits_3_before_any_work(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    line = add_long_eval_prompt(cfg.eval_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage error:")
+    assert f"{cfg.eval_path}:{line}:" in err
+    assert "72 tokens" in err and "max_seq 64" in err
+    assert not (tmp_path / "out" / "candidates_loop1.json").exists()
+
+
+def test_too_long_eval_prompt_stops_prune_grid(ranked_state, tmp_path, capsys):
+    cfg_path, ranked_out, _ = ranked_state
+    out = tmp_path / "out"
+    shutil.copytree(ranked_out, out)
+    cfg = json.loads(cfg_path.read_text())
+    evalp = tmp_path / "eval.jsonl"
+    shutil.copy(cfg["eval_path"], evalp)
+    line = add_long_eval_prompt(evalp)
+    long_cfg = tmp_path / "cfg.json"
+    long_cfg.write_text(json.dumps(dict(cfg, eval_path=str(evalp))))
+    capsys.readouterr()
+    assert cli.main(["prune-grid", "--config", str(long_cfg), "--out", str(out)]) == 3
+    assert f"{evalp}:{line}:" in capsys.readouterr().err
+    assert not (out / "candidates_loop2.json").exists()
 
 
 def test_divergence_fails_only_its_candidate(tmp_path, monkeypatch):
