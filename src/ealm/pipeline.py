@@ -154,10 +154,6 @@ class PipelineConfig:
         return cls.from_dict(obj)
 
 
-def _encode_train(records: list[DatasetRecord], max_seq: int) -> list[list[int]]:
-    return [tinylm.encode_example(r.prompt, r.reference)[:max_seq] for r in records]
-
-
 def _decode_all(model: tinylm.TinyLm, adapters, eval_records, max_new: int):
     """Greedy decoding of every eval prompt: ((text, reference) pairs, tokens)."""
     pairs = []
@@ -190,7 +186,7 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     """
     lm_cfg = config.lm_config()
     base32 = tinylm.init_model(lm_cfg)
-    sequences = _encode_train(train_records, lm_cfg.max_seq)
+    sequences = [tinylm.encode_example(r.prompt, r.reference) for r in train_records]
     records: list[CandidateRecord] = []
     artifacts: dict[str, dict] = {}
     for bits in config.bits_grid:
@@ -272,24 +268,30 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
                    meter: Meter, eval_records, baseline: CandidateRecord):
     """Loop 2: for each selected model, the unpruned reference evaluation plus
     every unstructured ratio and every N:M pattern, all metered at inference.
-    phi is relative to `baseline`'s loop-1 inference span."""
+    Each parent's adapters are merged into its weights at its own width first,
+    so the masks zero the weights the model computes on. phi is relative to
+    `baseline`'s loop-1 inference span."""
     records: list[CandidateRecord] = []
     for parent in topk:
-        bundle, adapters = artifacts[parent.id]["bundle"], artifacts[parent.id]["adapters"]
-        if parent.lineage.precision_bits == 32:  # adapters merge only into float weights
-            bundle, adapters = tinylm.merge_adapters(bundle, adapters), None
-
+        art, merge_error = artifacts[parent.id], None
+        try:
+            bundle = tinylm.merge_adapters(art["bundle"], art["adapters"])
+        except CANDIDATE_ERRORS as e:  # fails each of this parent's variants
+            merge_error = e
         for suffix, spec in config.prune_variants():
             cid = f"{parent.id}-{suffix}"
             lineage = dataclasses.replace(parent.lineage, parent_id=parent.id,
                                           prune=spec.to_dict() if spec else None)
+            if merge_error is not None:
+                records.append(_failed(cid, lineage, "prune", merge_error))
+                continue
             try:
                 pruned = prune_mod.prune_bundle(bundle, spec) if spec else bundle
                 # pruning already measured what it left; the unpruned model is measured here
                 lineage.sparsity = pruned.lineage.sparsity if spec else prune_mod.sparsity(pruned)
                 model = tinylm.TinyLm(pruned)
                 scores, energy = evaluate_model(
-                    model, adapters, eval_records, meter, config.max_new_tokens
+                    model, None, eval_records, meter, config.max_new_tokens
                 )
                 rec = CandidateRecord(
                     id=cid, lineage=lineage, scores=scores, energy=energy,
@@ -455,26 +457,29 @@ def load_artifacts(ids: list[str], out_dir) -> dict:
                 a = {k[2:]: z[k] for k in z.files if k.startswith("a:")}
                 b = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
                 adapters = tinylm.LoraAdapters(int(z["rank"]), float(z["alpha"]), a, b)
-        except (OSError, BundleError, zipfile.BadZipFile) as e:
+        except (OSError, BundleError, zipfile.BadZipFile, KeyError) as e:
             raise _unreadable(path, e) from e
         artifacts[cid] = {"bundle": bundle, "adapters": adapters}
     return artifacts
 
 
-def _load_dataset(path, max_seq: int | None = None) -> list[DatasetRecord]:
-    """A dataset's records. Given `max_seq` (for the eval set), a prompt that
-    encodes (BOS + bytes + SEP) to more tokens is refused before any work:
-    greedy decoding could not start it."""
+def _load_dataset(path, max_seq: int, train: bool) -> list[DatasetRecord]:
+    """A dataset's records. A record whose model input encodes to more than
+    `max_seq` tokens is refused before any work: for the train set the whole
+    example (BOS + prompt + SEP + reference + EOS), which training could not
+    fit; for the eval set the prompt (BOS + bytes + SEP), which greedy
+    decoding could not start."""
     try:
         numbered = read_jsonl(path)
     except DataError as e:
         raise StageError(f"dataset loading: {e}") from e
-    if max_seq is not None:
-        for lineno, rec in numbered:
-            n = len(tinylm.encode_prompt(rec.prompt))
-            if n > max_seq:
-                raise StageError(f"{path}:{lineno}: eval prompt encodes to {n} tokens, "
-                                 f"more than max_seq {max_seq}")
+    what = "training example" if train else "eval prompt"
+    for lineno, rec in numbered:
+        n = len(tinylm.encode_example(rec.prompt, rec.reference) if train
+                else tinylm.encode_prompt(rec.prompt))
+        if n > max_seq:
+            raise StageError(f"{path}:{lineno}: {what} encodes to {n} tokens, "
+                             f"more than max_seq {max_seq}")
     return [rec for _, rec in numbered]
 
 
@@ -490,8 +495,8 @@ def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
 
 def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
     """Loop 1; writes candidates_loop1.json and artifacts/."""
-    train_records = _load_dataset(config.train_path)
-    eval_records = _load_dataset(config.eval_path, config.max_seq)
+    train_records = _load_dataset(config.train_path, config.max_seq, train=True)
+    eval_records = _load_dataset(config.eval_path, config.max_seq, train=False)
     records, artifacts = run_finetune_grid(config, meter, train_records, eval_records)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -523,7 +528,7 @@ def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
 
 def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
     """Loop 2 over topk.json's models; writes candidates_loop2.json."""
-    eval_records = _load_dataset(config.eval_path, config.max_seq)
+    eval_records = _load_dataset(config.eval_path, config.max_seq, train=False)
     out = Path(config.out_dir)
     _, baseline = load_loop1(out)
     topk = load_candidates(out / "topk.json")

@@ -1,8 +1,8 @@
 """Magnitude (unstructured) and N:M structured pruning masks.
 
-Masks are boolean arrays (True = keep). Pruned tensors stay dense; size
-benefits are modeled through sparsity / skipped multiply-accumulates, not
-through storage.
+Masks are boolean arrays (True = keep). Pruned tensors stay dense: a pruned
+bundle stores and computes on as many values as its parent, and `sparsity`
+reports the share of them that are zero.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class PruneSpec:
     ratio: float | None = None
     n: int | None = None
     m: int | None = None
-    scope: str = "per-tensor"  # "per-tensor" | "global"
 
     def __post_init__(self):
         if self.method == "unstructured-magnitude":
@@ -45,13 +44,7 @@ class PruneSpec:
             raise PruneError(f"unknown method {self.method!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "ratio": self.ratio,
-            "n": self.n,
-            "m": self.m,
-            "scope": self.scope,
-        }
+        return {"method": self.method, "ratio": self.ratio, "n": self.n, "m": self.m}
 
 
 def _magnitude_drop_order(values: np.ndarray) -> np.ndarray:
@@ -71,24 +64,9 @@ def magnitude_mask(values: np.ndarray, ratio: float) -> np.ndarray:
     return mask.reshape(values.shape)
 
 
-def magnitude_masks(tensors: dict, ratio: float, scope: str) -> dict[str, np.ndarray]:
-    if scope == "per-tensor":
-        return {n: magnitude_mask(dequantize(t), ratio) for n, t in tensors.items()}
-    if scope != "global":
-        raise PruneError(f"unknown scope {scope!r}")
-    names = list(tensors)
-    flats = [np.abs(dequantize(tensors[n]).reshape(-1)) for n in names]
-    sizes = [f.size for f in flats]
-    allv = np.concatenate(flats) if flats else np.array([])
-    k = math.floor(ratio * allv.size)
-    order = np.lexsort((-np.arange(allv.size), allv))
-    keep = np.ones(allv.size, dtype=bool)
-    keep[order[:k]] = False
-    masks, off = {}, 0
-    for name, size in zip(names, sizes):
-        masks[name] = keep[off : off + size].reshape(tensors[name].shape)
-        off += size
-    return masks
+def magnitude_masks(tensors: dict, ratio: float) -> dict[str, np.ndarray]:
+    """Magnitude masks, each matrix pruned by `ratio` on its own."""
+    return {n: magnitude_mask(dequantize(t), ratio) for n, t in tensors.items()}
 
 
 def nm_mask(values: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -111,7 +89,7 @@ def build_mask(bundle: ModelBundle, spec: PruneSpec) -> dict[str, np.ndarray]:
     """Keep-masks (True = keep) for the targeted weight matrices, by name."""
     targets = {name: t for name, t in bundle.tensors.items() if default_target_filter(name)}
     if spec.method == "unstructured-magnitude":
-        return magnitude_masks(targets, spec.ratio, spec.scope)
+        return magnitude_masks(targets, spec.ratio)
     return nm_masks(targets, spec.n, spec.m)
 
 

@@ -1,9 +1,10 @@
 """Tiny decoder-only LM: deterministic forward, greedy decoding, and low-rank
 adapter training over a frozen (possibly quantized) base.
 
-Compute runs in float32 throughout; reduced precision affects storage and the
-energy model only. Training is plain full-batch gradient descent on mean
-next-token cross-entropy, updating the adapter factors A and B exclusively.
+Compute runs in float32 throughout: `TinyLm` dequantizes every weight once, so
+reduced precision changes the weight values and the stored size, not the
+arithmetic. Training is plain gradient descent, one step per sequence, on
+mean next-token cross-entropy, updating the adapter factors A and B only.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quant import default_target_filter, dequantize
-from .tensors import WEIGHT_MATRICES, Lineage, LmConfig, ModelBundle, QuantizedTensor
+from .quant import QuantSpec, default_target_filter, dequantize, quantize
+from .tensors import WEIGHT_MATRICES, Lineage, LmConfig, ModelBundle
 
 PAD_ID = 256
 BOS_ID = 257
@@ -373,17 +374,14 @@ def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new:
 
 
 def merge_adapters(bundle: ModelBundle, adapters: LoraAdapters) -> ModelBundle:
-    if bundle.lineage.precision_bits != 32:
-        raise LmError("adapter merge requires a 32-bit base")
-    tensors = {}
-    for name, t in bundle.tensors.items():
-        if name in adapters.a:
-            if isinstance(t, QuantizedTensor):
-                raise LmError(f"cannot merge into quantized tensor {name!r}")
-            tensors[name] = (
-                t + adapters.scaling * (adapters.a[name] @ adapters.b[name])
-            ).astype(np.float32)
-        else:
-            tensors[name] = t
+    """The bundle with each adapter delta folded into its matrix and stored
+    again at the bundle's width: quantize(dequantize(t) + s * A @ B). At 32
+    bits `quantize` is a copy, so this is the float32 sum."""
+    spec = QuantSpec(bundle.lineage.precision_bits)
+    tensors = {
+        name: quantize(dequantize(t) + adapters.scaling * (adapters.a[name] @ adapters.b[name]),
+                       spec) if name in adapters.a else t
+        for name, t in bundle.tensors.items()
+    }
     return ModelBundle(tensors=tensors, config=bundle.config,
                        lineage=dataclasses.replace(bundle.lineage))

@@ -6,6 +6,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ealm import cli, tinylm
@@ -15,7 +16,7 @@ from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save
 from ealm.meter import Meter
 from ealm.metrics import MetricScores
 from ealm.rank import select_top_k
-from ealm.tensors import BundleError, Lineage, load_bundle
+from ealm.tensors import WEIGHT_MATRICES, BundleError, Lineage, load_bundle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -183,6 +184,7 @@ def test_readme_lineage_example_is_a_lineage():
     example = json.loads(next(b for b in blocks if '"epochs_trained"' in b))
     assert list(example) == list(Lineage().to_dict())
     assert Lineage.from_dict(example).to_dict() == example
+    assert example["prune"] == prune_mod.PruneSpec("structured-nm", n=2, m=4).to_dict()
 
 
 def test_select_topk_used_for_loop2_parents(tmp_path):
@@ -246,17 +248,17 @@ def test_stage_error_when_datasets_missing(tmp_path):
         pl.run_all(cfg)
 
 
-def add_long_eval_prompt(eval_path, n_bytes=70) -> int:
-    """Appends a prompt of `n_bytes` bytes to the eval set; returns its line."""
-    records = load_jsonl(eval_path)
-    save_jsonl(records + [DatasetRecord(prompt="x" * n_bytes, reference="reset card 1")],
-               eval_path)
+def add_long_prompt(path, n_bytes=70) -> int:
+    """Appends a record whose prompt has `n_bytes` bytes to a dataset;
+    returns its line."""
+    records = load_jsonl(path)
+    save_jsonl(records + [DatasetRecord(prompt="x" * n_bytes, reference="reset card 1")], path)
     return len(records) + 1
 
 
 def test_too_long_eval_prompt_exits_3_before_any_work(tmp_path, capsys):
     cfg = make_config(tmp_path)
-    line = add_long_eval_prompt(cfg.eval_path)
+    line = add_long_prompt(cfg.eval_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     capsys.readouterr()
@@ -268,6 +270,22 @@ def test_too_long_eval_prompt_exits_3_before_any_work(tmp_path, capsys):
     assert not (tmp_path / "out" / "candidates_loop1.json").exists()
 
 
+def test_too_long_training_example_exits_3_before_any_work(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    # BOS + 73 prompt bytes + SEP + 12 reference bytes + EOS: 88 tokens, whose
+    # last 24 no model with max_seq 64 could train on
+    line = add_long_prompt(cfg.train_path, n_bytes=73)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage error:")
+    assert f"{cfg.train_path}:{line}: training example encodes to 88 tokens" in err
+    assert "max_seq 64" in err
+    assert not (tmp_path / "out" / "candidates_loop1.json").exists()
+
+
 def test_too_long_eval_prompt_stops_prune_grid(ranked_state, tmp_path, capsys):
     cfg_path, ranked_out, _ = ranked_state
     out = tmp_path / "out"
@@ -275,7 +293,7 @@ def test_too_long_eval_prompt_stops_prune_grid(ranked_state, tmp_path, capsys):
     cfg = json.loads(cfg_path.read_text())
     evalp = tmp_path / "eval.jsonl"
     shutil.copy(cfg["eval_path"], evalp)
-    line = add_long_eval_prompt(evalp)
+    line = add_long_prompt(evalp)
     long_cfg = tmp_path / "cfg.json"
     long_cfg.write_text(json.dumps(dict(cfg, eval_path=str(evalp))))
     capsys.readouterr()
@@ -319,6 +337,59 @@ def test_prune_error_fails_only_its_variant(tmp_path, monkeypatch):
     assert len(failed) == 1
     assert failed[0]["id"].endswith("-nm2x4")
     assert failed[0]["error"] == "PruneError: injected"
+
+
+def test_merge_error_fails_only_its_parents_variants(tmp_path, monkeypatch):
+    real = tinylm.merge_adapters
+
+    def nan_delta_at_4_bits(bundle, adapters):
+        if bundle.lineage.precision_bits == 4:
+            adapters = dataclasses.replace(
+                adapters, b={n: np.full_like(b, np.nan) for n, b in adapters.b.items()})
+        return real(bundle, adapters)
+
+    monkeypatch.setattr(tinylm, "merge_adapters", nan_delta_at_4_bits)
+    cfg = make_config(tmp_path, k=2)
+    payload = pl.run_all(cfg)
+    loop2 = [c for c in payload["candidates"] if c["stage"] == "prune"]
+    suffixes = [s for s, _ in cfg.prune_variants()]
+    assert [c["id"] for c in loop2 if c["status"] == "failed"] == [
+        f"ft-b4-e1-{s}" for s in suffixes]
+    assert [c["id"] for c in loop2 if c["status"] == "ok"] == [f"ft-b32-e1-{s}" for s in suffixes]
+    for c in loop2:
+        if c["status"] == "failed":
+            assert c["error"] == "QuantError: non-finite values in tensor"
+            assert c["lineage"]["parent_id"] == "ft-b4-e1"
+
+
+def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, bits_grid=[4, 8, 16, 32], prune_ratios=[0.3, 0.5],
+                      nm_patterns=[(2, 4)])
+    meter = pl.build_meter(cfg)
+    train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    loop1, artifacts = pl.run_finetune_grid(cfg, meter, train, evals)
+    real = pl.evaluate_model
+    computed = []
+
+    def zero_share(model, adapters, *args):
+        kv = tinylm.KvCache()  # the cache keeps the effective matrices the forward used
+        model.forward_cached([tinylm.BOS_ID], adapters, kv)
+        mats = [w[m] for w in kv.w for m in WEIGHT_MATRICES]
+        computed.append(sum(int(np.count_nonzero(w == 0)) for w in mats)
+                        / sum(w.size for w in mats))
+        return real(model, adapters, *args)
+
+    monkeypatch.setattr(pl, "evaluate_model", zero_share)
+    baseline = next(r for r in loop1 if r.baseline)
+    loop2 = pl.run_prune_grid(loop1, artifacts, cfg, meter, evals, baseline)
+    assert all(r.status == "ok" for r in loop2)
+    assert [r.lineage.precision_bits for r in loop2] == [
+        b for b in cfg.bits_grid for _ in cfg.prune_variants()]
+    assert [r.lineage.sparsity for r in loop2] == computed
+    by_id = {r.id: r.lineage.sparsity for r in loop2}
+    for bits in cfg.bits_grid:  # kept weights can round to a zero code as well
+        assert by_id[f"ft-b{bits}-e1-nm2x4"] >= 0.5
+        assert by_id[f"ft-b{bits}-e1-mag50"] >= 0.5
 
 
 def test_programming_error_in_candidate_stops_the_run(tmp_path, monkeypatch):
@@ -515,6 +586,8 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "truncated:topk.json"),
     ("prune-grid", "truncated:artifacts/{top}.ealm"),
     ("prune-grid", "truncated:artifacts/{top}.adapters.npz"),
+    # an adapters file without its rank
+    ("prune-grid", "npz-key:artifacts/{top}.adapters.npz"),
 ])
 def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, command, missing):
     cfg_path, ranked_out, top = ranked_state
@@ -524,6 +597,12 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
         victim = out / missing.removeprefix("truncated:").format(top=top)
         data = victim.read_bytes()
         victim.write_bytes(data[: len(data) // 2])
+    elif missing and missing.startswith("npz-key:"):
+        victim = out / missing.removeprefix("npz-key:").format(top=top)
+        with np.load(victim) as z:
+            arrays = {k: z[k] for k in z.files if k != "rank"}
+        with open(victim, "wb") as f:
+            np.savez(f, **arrays)
     elif missing and missing.startswith("lineage-key:"):
         victim = out / missing.removeprefix("lineage-key:")
         recs = json.loads(victim.read_text())

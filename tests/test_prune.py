@@ -7,7 +7,6 @@ from ealm.prune import (
     apply_mask,
     build_mask,
     magnitude_mask,
-    magnitude_masks,
     nm_mask,
     prune_bundle,
     sparsity,
@@ -35,14 +34,6 @@ def test_magnitude_matches_sort_oracle():
         order = sorted(range(t.size), key=lambda i: (abs(t.flat[i]), -i))
         dropped = set(order[:k])
         assert {i for i in range(t.size) if not mask.flat[i]} == dropped
-
-
-def test_magnitude_global_scope():
-    a = np.asarray([1.0, 10.0], np.float32)
-    b = np.asarray([2.0, 20.0], np.float32)
-    out = magnitude_masks({"a": a, "b": b}, 0.5, "global")
-    assert out["a"].tolist() == [False, True]
-    assert out["b"].tolist() == [False, True]
 
 
 def test_magnitude_ratio_bounds():

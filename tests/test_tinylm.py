@@ -4,8 +4,8 @@ import pytest
 from ealm import tinylm
 from ealm.data import generate_synthetic_corpus
 from ealm.prune import PruneSpec, prune_bundle
-from ealm.quant import QuantSpec, quantize_bundle
-from ealm.tensors import LmConfig, bundles_equal
+from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
+from ealm.tensors import LmConfig, ModelBundle, bundles_equal, payload_bytes
 from ealm.tinylm import (
     BOS_ID,
     EOS_ID,
@@ -311,6 +311,11 @@ def test_merge_adapters_equivalence():
         _, grads = model.loss_and_grads(seqs, adapters)
         adapters = adapters.step(grads, 0.1)
     merged = merge_adapters(bundle, adapters)
+    for name in adapters.a:  # at 32 bits, the float32 sum itself
+        want = (bundle.tensors[name]
+                + adapters.scaling * (adapters.a[name] @ adapters.b[name])).astype(np.float32)
+        got = merged.tensors[name]
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
     la = model.forward(seqs[0], adapters)
     lm = TinyLm(merged).forward(seqs[0], None)
     assert np.abs(la - lm).max() <= 1e-5
@@ -323,11 +328,32 @@ def test_merge_adapters_equivalence():
     assert np.array_equal(same.tensors["layers.0.attn.wq"], bundle.tensors["layers.0.attn.wq"])
 
 
-def test_merge_rejects_quantized_base():
-    bundle, adapters, _ = small_setup()
-    q = quantize_bundle(bundle, QuantSpec(8))
-    with pytest.raises(LmError):
-        merge_adapters(q, adapters)
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_merge_keeps_the_base_width(bits):
+    _, adapters, _ = trained_setup()
+    base = quantize_bundle(small_setup()[0], QuantSpec(bits))
+    merged = merge_adapters(base, adapters)
+    assert payload_bytes(merged) == payload_bytes(base)
+
+    def delta(name):
+        return adapters.scaling * (adapters.a[name] @ adapters.b[name])
+
+    want = ModelBundle(
+        tensors={name: quantize(dequantize(t) + delta(name), QuantSpec(bits))
+                 if name in adapters.a else t for name, t in base.tensors.items()},
+        config=base.config, lineage=base.lineage)
+    assert bundles_equal(merged, want)
+    for name in adapters.a:
+        assert type(merged.tensors[name]) is type(base.tensors[name])
+        exact = dequantize(base.tensors[name]) + delta(name)
+        err = np.abs(dequantize(merged.tensors[name]) - exact)
+        if bits == 16:  # round to nearest binary16: half an ulp, 2**-11 relative
+            assert np.all(err <= np.abs(exact) * 2.0**-11 + 2.0**-25)
+        else:  # round to the nearest code: half a step of the row's scale
+            step = merged.tensors[name].scales[:, None]
+            assert np.all(err <= step / 2 * (1 + 1e-6))
+        assert not np.array_equal(dequantize(merged.tensors[name]),
+                                  dequantize(base.tensors[name]))
 
 
 def test_training_divergence_error():
