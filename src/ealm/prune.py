@@ -64,11 +64,6 @@ def magnitude_mask(values: np.ndarray, ratio: float) -> np.ndarray:
     return mask.reshape(values.shape)
 
 
-def magnitude_masks(tensors: dict, ratio: float) -> dict[str, np.ndarray]:
-    """Magnitude masks, each matrix pruned by `ratio` on its own."""
-    return {n: magnitude_mask(dequantize(t), ratio) for n, t in tensors.items()}
-
-
 def nm_mask(values: np.ndarray, n: int, m: int) -> np.ndarray:
     """Row-wise N:M keep-mask: top-n |w| per consecutive group of m."""
     values = np.asarray(values)
@@ -79,18 +74,15 @@ def nm_mask(values: np.ndarray, n: int, m: int) -> np.ndarray:
     return nm_mask_kernel(np.ascontiguousarray(values, np.float32), n, m)
 
 
-def nm_masks(tensors: dict, n: int, m: int) -> dict[str, np.ndarray]:
-    """N:M masks with groups running along the input (first) axis of each
-    weight matrix, the hardware convention for 2:4 sparsity."""
-    return {name: nm_mask(dequantize(t).T, n, m).T for name, t in tensors.items()}
-
-
 def build_mask(bundle: ModelBundle, spec: PruneSpec) -> dict[str, np.ndarray]:
-    """Keep-masks (True = keep) for the targeted weight matrices, by name."""
+    """Keep-masks (True = keep) for the targeted weight matrices, by name.
+    Magnitude pruning cuts each matrix by `ratio` on its own."""
     targets = {name: t for name, t in bundle.tensors.items() if default_target_filter(name)}
     if spec.method == "unstructured-magnitude":
-        return magnitude_masks(targets, spec.ratio)
-    return nm_masks(targets, spec.n, spec.m)
+        return {name: magnitude_mask(dequantize(t), spec.ratio) for name, t in targets.items()}
+    # N:M groups run along the input (first) axis of each weight matrix, the
+    # hardware convention for 2:4 sparsity
+    return {name: nm_mask(dequantize(t).T, spec.n, spec.m).T for name, t in targets.items()}
 
 
 def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray],
@@ -101,12 +93,12 @@ def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray],
         if m is None:
             tensors[name] = t
             continue
-        shape = t.shape if isinstance(t, QuantizedTensor) else tuple(t.shape)
-        if tuple(m.shape) != tuple(shape):
+        shape = tuple(t.shape)
+        if tuple(m.shape) != shape:
             raise PruneError(f"mask shape {m.shape} != tensor {name!r} shape {shape}")
         if isinstance(t, QuantizedTensor):
             codes = np.where(m, t.codes, np.int8(0)).astype(np.int8)
-            tensors[name] = QuantizedTensor(t.shape, t.bits, codes, t.scales.copy(), t.granularity)
+            tensors[name] = QuantizedTensor(t.shape, t.bits, codes, t.scales.copy())
         else:
             tensors[name] = np.where(m, t, t.dtype.type(0)).astype(t.dtype)
     out = ModelBundle(tensors=tensors, config=bundle.config)

@@ -29,13 +29,10 @@ def default_target_filter(name: str) -> bool:
 @dataclass
 class QuantSpec:
     bits: int
-    granularity: str = "per-row"  # "per-tensor" | "per-row"
 
     def __post_init__(self):
         if self.bits not in VALID_BITS:
             raise QuantError(f"bits must be one of {VALID_BITS}, got {self.bits}")
-        if self.granularity not in ("per-tensor", "per-row"):
-            raise QuantError(f"bad granularity {self.granularity!r}")
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -43,19 +40,15 @@ def _check_finite(arr: np.ndarray) -> None:
         raise QuantError("non-finite values in tensor")
 
 
-def _row_scales(arr: np.ndarray, qmax: int, per_row: bool) -> np.ndarray:
-    if per_row:
-        flat = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(-1, 1)
-        amax = np.abs(flat).max(axis=1)
-    else:
-        amax = np.array([np.abs(arr).max()])
-    scales = (amax / qmax).astype(np.float32)
-    scales[amax == 0] = 1.0  # all-zero row convention: scale 1, codes 0
-    return scales
+def _per_row(scales: np.ndarray, ndim: int) -> np.ndarray:
+    """`scales` shaped to broadcast one scale over each row of an `ndim`
+    tensor; a single scale broadcasts over the whole tensor (a 0-D one too)."""
+    return scales.reshape(scales.shape[:ndim] + (1,) * (ndim - 1))
 
 
 def quantize(arr: np.ndarray, spec: QuantSpec):
-    """Quantize one dense float32 tensor at the requested bit width."""
+    """Quantize one dense float32 tensor at the requested bit width. Integer
+    codes get one scale per row of a matrix and one scale for a 1-D tensor."""
     arr = np.asarray(arr, dtype=np.float32)
     _check_finite(arr)
     if spec.bits == 32:
@@ -63,43 +56,22 @@ def quantize(arr: np.ndarray, spec: QuantSpec):
     if spec.bits == 16:
         return arr.astype(np.float16)  # numpy converts with round-to-nearest-even
     qmax = QMAX[spec.bits]
-    per_row = spec.granularity == "per-row" and arr.ndim > 1
-    scales = _row_scales(arr, qmax, per_row)
-    if per_row:
-        div = scales.reshape((-1,) + (1,) * (arr.ndim - 1))
-    else:
-        div = scales[0]
-    x = arr.astype(np.float64) / div
+    rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
+    amax = np.abs(rows).max(axis=1)
+    scales = (amax / qmax).astype(np.float32)
+    scales[amax == 0] = 1.0  # all-zero row convention: scale 1, codes 0
+    x = arr.astype(np.float64) / _per_row(scales, arr.ndim)
     codes = np.sign(x) * np.floor(np.abs(x) + 0.5)  # half away from zero
     codes = np.clip(codes, -qmax, qmax).astype(np.int8)
-    return QuantizedTensor(
-        shape=tuple(arr.shape),
-        bits=spec.bits,
-        codes=codes,
-        scales=scales,
-        granularity="per-row" if per_row else "per-tensor",
-    )
+    return QuantizedTensor(shape=tuple(arr.shape), bits=spec.bits, codes=codes, scales=scales)
 
 
 def dequantize(t) -> np.ndarray:
     """Back to float32: code * scale for integer codes, upcast for float16."""
     if isinstance(t, QuantizedTensor):
-        codes = t.codes.astype(np.float32)
-        if t.granularity == "per-row":
-            scale = t.scales.reshape((-1,) + (1,) * (codes.ndim - 1))
-        else:
-            scale = t.scales[0]
-        return codes * scale
+        return t.codes.astype(np.float32) * _per_row(t.scales, t.codes.ndim)
     t = np.asarray(t)
     return t.astype(np.float32)
-
-
-def quant_error(arr: np.ndarray, spec: QuantSpec) -> dict:
-    arr = np.asarray(arr, dtype=np.float32)
-    _check_finite(arr)
-    back = dequantize(quantize(arr, spec))
-    diff = back.astype(np.float64) - arr.astype(np.float64)
-    return {"max_abs_err": float(np.abs(diff).max()), "mse": float(np.mean(diff**2))}
 
 
 def quantize_bundle(bundle: ModelBundle, spec: QuantSpec) -> ModelBundle:

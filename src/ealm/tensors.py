@@ -94,7 +94,8 @@ class LmConfig:
 
 @dataclass
 class QuantizedTensor:
-    """Symmetric integer codes with per-tensor or per-row float32 scales.
+    """Symmetric integer codes with one float32 scale per row (one scale for a
+    1-D tensor; files written with a single per-tensor scale also load).
 
     ``codes`` is kept unpacked (one int8 per element) in memory; 4-bit codes
     are nibble-packed only on disk.
@@ -103,8 +104,7 @@ class QuantizedTensor:
     shape: tuple[int, ...]
     bits: int  # 4 or 8
     codes: np.ndarray  # int8, shape == self.shape
-    scales: np.ndarray  # float32, (1,) per-tensor or (rows,) per-row
-    granularity: str  # "per-tensor" | "per-row"
+    scales: np.ndarray  # float32, (rows,) or (1,)
 
     @property
     def size(self) -> int:
@@ -139,11 +139,14 @@ class ModelBundle:
         if missing:
             raise BundleError(f"missing tensors: {missing}")
         for name, t in self.tensors.items():
-            shape = t.shape if isinstance(t, QuantizedTensor) else tuple(t.shape)
-            if name in required and tuple(shape) != required[name]:
+            shape = tuple(t.shape)
+            if name in required and shape != required[name]:
                 raise BundleError(
                     f"tensor {name!r}: shape {shape} != expected {required[name]}"
                 )
+            rows = shape[0] if shape else 1
+            if isinstance(t, QuantizedTensor) and t.scales.size not in (1, rows):
+                raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {rows} rows")
             if isinstance(t, np.ndarray) and not np.all(np.isfinite(t.astype(np.float32))):
                 raise BundleError(f"tensor {name!r} has non-finite values")
 
@@ -174,14 +177,11 @@ def payload_bytes(bundle: ModelBundle) -> int:
     return sum(tensor_payload_bytes(t) for t in bundle.tensors.values())
 
 
-GRANULARITY_CODES = {"per-tensor": 0, "per-row": 1}
-GRANULARITY_NAMES = {v: k for k, v in GRANULARITY_CODES.items()}
-
-
 def _encode_payload(t) -> bytes:
     if isinstance(t, QuantizedTensor):
+        # granularity byte: 1 for a matrix (a scale per row), 0 for a 1-D tensor
         head = struct.pack(
-            "<BI", GRANULARITY_CODES[t.granularity], t.scales.size
+            "<BI", int(len(t.shape) > 1), t.scales.size
         ) + t.scales.astype("<f4").tobytes()
         flat = t.codes.reshape(-1)
         if t.bits == 8:
@@ -204,6 +204,8 @@ def _decode_payload(name: str, dtype_code: int, dims: tuple[int, ...], payload: 
                 raise ValueError
             return np.frombuffer(payload, dtype="<f2").reshape(dims).copy()
         gran, n_scales = struct.unpack_from("<BI", payload, 0)
+        if gran not in (0, 1):  # 0: one scale for the tensor, 1: one per row
+            raise ValueError
         off = 5
         scales = np.frombuffer(payload, dtype="<f4", count=n_scales, offset=off).copy()
         off += 4 * n_scales
@@ -220,10 +222,7 @@ def _decode_payload(name: str, dtype_code: int, dims: tuple[int, ...], payload: 
             bits = 4
         else:
             raise BundleFormatError(f"unknown dtype code {dtype_code}")
-        return QuantizedTensor(
-            shape=dims, bits=bits, codes=codes, scales=scales,
-            granularity=GRANULARITY_NAMES[gran],
-        )
+        return QuantizedTensor(shape=dims, bits=bits, codes=codes, scales=scales)
     except (ValueError, struct.error) as e:
         raise BundleCorruptionError(f"tensor {name!r}: payload corrupt") from e
 
@@ -235,7 +234,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     chunks = [MAGIC, struct.pack("<HI", VERSION, len(names))]
     for name, t in bundle.tensors.items():
         nb = name.encode("utf-8")
-        dims = t.shape if isinstance(t, QuantizedTensor) else tuple(t.shape)
+        dims = tuple(t.shape)
         payload = _encode_payload(t)
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
@@ -306,32 +305,17 @@ def load_bundle(path) -> ModelBundle:
         tensors[name] = _decode_payload(name, dtype_code, dims, payload)
         rd.context = str(path)
     (mlen,) = rd.unpack("<Q", "metadata length")
-    meta = json.loads(rd.take(mlen, "metadata").decode("utf-8"))
-    bundle = ModelBundle(
-        tensors=tensors,
-        config=LmConfig.from_dict(meta["config"]),
-        lineage=Lineage.from_dict(meta["lineage"]),
-    )
+    try:
+        meta = json.loads(rd.take(mlen, "metadata").decode("utf-8"))
+        bundle = ModelBundle(
+            tensors=tensors,
+            config=LmConfig.from_dict(meta["config"]),
+            lineage=Lineage.from_dict(meta["lineage"]),
+        )
+    except (ValueError, KeyError, TypeError) as e:
+        raise BundleFormatError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
+    try:
+        bundle.validate()  # the file decodes; now it must also match its config
+    except BundleError as e:
+        raise BundleFormatError(f"{path}: {e}") from e
     return bundle
-
-
-def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
-    if a.config != b.config or a.lineage != b.lineage:
-        return False
-    if list(a.tensors) != list(b.tensors):
-        return False
-    for name in a.tensors:
-        ta, tb = a.tensors[name], b.tensors[name]
-        if isinstance(ta, QuantizedTensor) != isinstance(tb, QuantizedTensor):
-            return False
-        if isinstance(ta, QuantizedTensor):
-            if (
-                ta.bits != tb.bits
-                or ta.granularity != tb.granularity
-                or not np.array_equal(ta.codes, tb.codes)
-                or ta.scales.tobytes() != tb.scales.tobytes()
-            ):
-                return False
-        elif ta.dtype != tb.dtype or ta.tobytes() != tb.tobytes():
-            return False
-    return True

@@ -259,9 +259,6 @@ class TinyLm:
         xf, lnfc = _layernorm(x, self.w["ln_f.g"], self.w["ln_f.b"])
         return (xf @ self.w["head"]).astype(np.float32), dict(layers=layers, lnfc=lnfc)
 
-    def forward(self, tokens, adapters: LoraAdapters | None = None) -> np.ndarray:
-        return self.forward_cached(tokens, adapters)[0]
-
     def _backward_io(self, dlogits, cache, adapted_names):
         """Propagate dL/dlogits back; return, per adapted matrix, its
         (input, output gradient) pair, so that dL/dW_eff = input.T @ output
@@ -317,16 +314,6 @@ class TinyLm:
                 da[name] += s * (inp.T @ (dout @ adapters.b[name].T))
                 db[name] += s * ((inp @ adapters.a[name]).T @ dout)
         return total / n_pred, {n: (da[n], db[n]) for n in da}
-
-    def evaluation_loss(self, sequences, adapters: LoraAdapters | None = None) -> float:
-        n_pred = 0
-        total = 0.0
-        for seq in sequences:
-            if len(seq) < 2:
-                continue
-            total += _nll(self.forward(seq, adapters), seq)[0]
-            n_pred += len(seq) - 1
-        return total / max(n_pred, 1)
 
 
 # ---------------------------------------------------------------------------

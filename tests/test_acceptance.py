@@ -24,6 +24,7 @@ from ealm.rank import CandidateRecord, rank_score, select_top_k
 from ealm.tensors import Lineage, LmConfig, payload_bytes, tensor_payload_bytes
 
 from f16_oracle import f32_to_f16_bits
+from oracles import evaluation_loss
 
 
 def acceptance(num, title):
@@ -77,11 +78,9 @@ def test_criterion_2_quantization():
         shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
         t = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)).astype(np.float32)
         bits = 4 if i % 2 else 8
-        for gran in ("per-row", "per-tensor"):
-            q = quantize(t, QuantSpec(bits, granularity=gran))
-            back = dequantize(q)
-            scale = q.scales.reshape(-1, 1) if gran == "per-row" else q.scales
-            assert np.all(np.abs(back - t) <= scale / 2 * (1 + 1e-6))
+        q = quantize(t, QuantSpec(bits))
+        back = dequantize(q)
+        assert np.all(np.abs(back - t) <= q.scales.reshape(-1, 1) / 2 * (1 + 1e-6))
 
     # binary16 conversion bit-exact against an independent reference
     vals = np.concatenate([
@@ -99,7 +98,7 @@ def test_criterion_2_quantization():
 
     # 4-bit code payload is exactly 1/8 of the 32-bit payload
     t = rng.normal(size=(32, 64)).astype(np.float32)
-    q4 = quantize(t, QuantSpec(4, granularity="per-tensor"))
+    q4 = quantize(t, QuantSpec(4))
     code_bytes = tensor_payload_bytes(q4) - 4 * q4.scales.size
     assert code_bytes * 8 == tensor_payload_bytes(t)
 
@@ -155,9 +154,9 @@ def test_criterion_4_gradients():
         arr = (adapters.a if which == 0 else adapters.b)[name]
         orig = arr[i, j]
         arr[i, j] = orig + h
-        lp = model.evaluation_loss(seqs, adapters)
+        lp = evaluation_loss(model, seqs, adapters)
         arr[i, j] = orig - h
-        lm = model.evaluation_loss(seqs, adapters)
+        lm = evaluation_loss(model, seqs, adapters)
         arr[i, j] = orig
         fd = (lp - lm) / (2 * h)
         g = grads[name][which][i, j]

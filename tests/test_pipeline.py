@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save
 from ealm.meter import Meter
 from ealm.metrics import MetricScores
 from ealm.rank import select_top_k
-from ealm.tensors import WEIGHT_MATRICES, BundleError, Lineage, load_bundle
+from ealm.tensors import WEIGHT_MATRICES, BundleError, Lineage, load_bundle, save_bundle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -579,8 +580,11 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", None),
     ("report", "candidates_loop1.json"),
     ("report", None),
-    # a record whose lineage is not a Lineage
+    # a record or a bundle whose lineage is not a Lineage
     ("rank", "lineage-key:candidates_loop1.json"),
+    ("prune-grid", "lineage-key:artifacts/{top}.ealm"),
+    # a bundle that decodes but lacks a tensor its config names
+    ("prune-grid", "drop-tensor:artifacts/{top}.ealm"),
     # there but cut short, as a killed writer could leave it
     ("rank", "truncated:candidates_loop1.json"),
     ("prune-grid", "truncated:topk.json"),
@@ -604,10 +608,23 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
         with open(victim, "wb") as f:
             np.savez(f, **arrays)
     elif missing and missing.startswith("lineage-key:"):
-        victim = out / missing.removeprefix("lineage-key:")
-        recs = json.loads(victim.read_text())
-        recs[0]["lineage"]["bogus"] = 1
-        victim.write_text(json.dumps(recs))
+        victim = out / missing.removeprefix("lineage-key:").format(top=top)
+        if victim.suffix == ".ealm":  # the metadata JSON and its length end the file
+            data = victim.read_bytes()
+            at = data.rindex(b'{"config"')
+            meta = json.loads(data[at:])
+            meta["lineage"]["bogus"] = 1
+            text = json.dumps(meta).encode()
+            victim.write_bytes(data[:at - 8] + struct.pack("<Q", len(text)) + text)
+        else:
+            recs = json.loads(victim.read_text())
+            recs[0]["lineage"]["bogus"] = 1
+            victim.write_text(json.dumps(recs))
+    elif missing and missing.startswith("drop-tensor:"):
+        victim = out / missing.removeprefix("drop-tensor:").format(top=top)
+        bundle = load_bundle(victim)
+        del bundle.tensors["layers.0.mlp.w2"]
+        save_bundle(bundle, victim)
     elif missing:
         victim = out / missing.format(top=top)
         victim.unlink()

@@ -6,7 +6,6 @@ from ealm.quant import (
     QuantSpec,
     default_target_filter,
     dequantize,
-    quant_error,
     quantize,
     quantize_bundle,
 )
@@ -15,20 +14,32 @@ from ealm.tensors import WEIGHT_MATRICES, LmConfig, QuantizedTensor, payload_byt
 from ealm.tinylm import init_adapters, init_model
 
 from f16_oracle import f32_to_f16_bits
+from oracles import quant_error
 
 
-def test_8bit_per_tensor_derived_vector():
-    t = np.asarray([-1.0, 0.5, 0.25, 1.0], dtype=np.float32)
-    q = quantize(t, QuantSpec(8, granularity="per-tensor"))
-    assert q.scales.shape == (1,)
+# the second row is the first times two: twice the scale, the same codes
+PER_ROW = np.asarray([[-1.0, 0.5, 0.25, 1.0], [-2.0, 1.0, 0.5, 2.0]], dtype=np.float32)
+
+
+def test_8bit_per_row_derived_vector():
+    q = quantize(PER_ROW, QuantSpec(8))
+    assert q.scales.shape == (2,)
     assert q.scales[0] == np.float32(1.0 / 127.0)
-    assert q.codes.tolist() == [-127, 64, 32, 127]
+    assert q.scales[1] == np.float32(2.0 / 127.0)
+    assert q.codes.tolist() == [[-127, 64, 32, 127]] * 2
+    one = quantize(PER_ROW[0], QuantSpec(8))  # a 1-D tensor gets one scale
+    assert one.scales.tolist() == [q.scales[0]]
+    assert one.codes.tolist() == [-127, 64, 32, 127]
+    scalar = quantize(np.float32(-1.0), QuantSpec(8))  # and a 0-D one keeps its shape
+    assert scalar.codes.shape == dequantize(scalar).shape == ()
 
 
 def test_all_zero_4bit_convention():
-    q = quantize(np.zeros(5, dtype=np.float32), QuantSpec(4, granularity="per-tensor"))
-    assert q.scales.tolist() == [1.0]
-    assert not q.codes.any()
+    t = np.zeros((2, 5), dtype=np.float32)
+    t[1, 0] = 3.5
+    q = quantize(t, QuantSpec(4))
+    assert q.scales.tolist() == [1.0, 0.5]  # the all-zero row gets scale 1
+    assert not q.codes[0].any()
 
 
 def test_32bit_identity():
@@ -40,23 +51,23 @@ def test_32bit_identity():
 
 
 def test_dequantize_examples():
-    q = QuantizedTensor((2,), 8, np.asarray([127, 64], np.int8),
-                        np.asarray([1.0 / 127.0], np.float32), "per-tensor")
+    q = QuantizedTensor((2, 2), 8, np.asarray([[127, 64], [127, 64]], np.int8),
+                        np.asarray([1.0 / 127.0, 2.0 / 127.0], np.float32))
     out = dequantize(q)
-    assert out[0] == pytest.approx(1.0, abs=1e-7)
-    assert out[1] == pytest.approx(64.0 / 127.0, abs=1e-7)
+    assert out[0, 0] == pytest.approx(1.0, abs=1e-7)
+    assert out[0, 1] == pytest.approx(64.0 / 127.0, abs=1e-7)
+    assert out[1].tolist() == (2 * out[0]).tolist()
 
 
 def test_quant_error_mse_oracle():
-    t = np.asarray([-1.0, 0.5, 0.25, 1.0], dtype=np.float32)
-    err = quant_error(t, QuantSpec(8, granularity="per-tensor"))
+    err = quant_error(PER_ROW, QuantSpec(8))
     # brute force in float64 with the stated rounding rule
-    scale = np.float32(1.0 / 127.0)
+    scale = np.float32([[1.0 / 127.0], [2.0 / 127.0]]).astype(np.float64)
     codes = np.asarray([-127, 64, 32, 127], np.float64)
-    back = codes * float(scale)
-    expect_mse = float(np.mean((back - t.astype(np.float64)) ** 2))
+    back = codes * scale
+    expect_mse = float(np.mean((back - PER_ROW.astype(np.float64)) ** 2))
     assert err["mse"] == pytest.approx(expect_mse, rel=1e-9)
-    assert err["max_abs_err"] <= float(scale) / 2 + 1e-12
+    assert err["max_abs_err"] <= float(scale.max()) / 2 + 1e-12
 
 
 def test_roundtrip_error_bound_and_symmetry():
@@ -64,7 +75,7 @@ def test_roundtrip_error_bound_and_symmetry():
     for bits in (4, 8):
         for _ in range(50):
             t = rng.normal(scale=rng.uniform(0.01, 10), size=(8, 8)).astype(np.float32)
-            spec = QuantSpec(bits, granularity="per-row")
+            spec = QuantSpec(bits)
             q = quantize(t, spec)
             back = dequantize(q)
             bound = q.scales.reshape(-1, 1) / 2 + 1e-6
@@ -94,7 +105,7 @@ def test_binary16_matches_reference_oracle():
 
 def test_quantize_bundle_targets_and_lineage():
     bundle = init_model(LmConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq=16))
-    q = quantize_bundle(bundle, QuantSpec(8, granularity="per-row"))
+    q = quantize_bundle(bundle, QuantSpec(8))
     assert q.lineage.precision_bits == 8
     n_scales = 0
     rows = 0

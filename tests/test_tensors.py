@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ealm.quant import QuantSpec, quantize, quantize_bundle
+from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
 from ealm.tensors import (
     BundleCorruptionError,
     BundleError,
@@ -9,7 +9,7 @@ from ealm.tensors import (
     Lineage,
     LmConfig,
     ModelBundle,
-    bundles_equal,
+    QuantizedTensor,
     load_bundle,
     payload_bytes,
     save_bundle,
@@ -17,20 +17,25 @@ from ealm.tensors import (
 )
 from ealm.tinylm import init_model
 
+from oracles import bundles_equal
 
-def tiny_bundle(values=None):
-    t = np.asarray(values if values is not None else [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
-                   dtype=np.float32)
-    cfg = LmConfig(d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, vocab_size=4)
+
+def tiny_bundle():
+    """One hand-written tensor `w`, and not the tensors its config names: it
+    saves, but loading refuses it."""
+    t = np.asarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=np.float32)
+    cfg = LmConfig(d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, vocab_size=3)
     return ModelBundle(tensors={"w": t}, config=cfg, lineage=Lineage())
 
 
 def test_roundtrip_single_tensor(tmp_path):
-    b = tiny_bundle()
+    w = tiny_bundle()
+    b = init_model(w.config)
+    b.tensors["head"] = w.tensors["w"]  # head is (d_model, vocab_size) = (2, 3)
     path = tmp_path / "b.ealm"
     save_bundle(b, path)
     loaded = load_bundle(path)
-    assert loaded.tensors["w"].tobytes() == b.tensors["w"].tobytes()
+    assert loaded.tensors["head"].tobytes() == b.tensors["head"].tobytes()
     assert bundles_equal(b, loaded)
 
 
@@ -49,13 +54,38 @@ def test_roundtrip_quantized(tmp_path):
         save_bundle(q, path)
         assert bundles_equal(q, load_bundle(path))
 
+    # A file written with one per-tensor scale (granularity byte 0) still
+    # loads, and dequantizes to code * scale; any other byte but 1 is corrupt.
+    name = "layers.0.attn.wq"
+    codes = (np.arange(64).reshape(8, 8) % 15 - 7).astype(np.int8)
+    gran_at = 4 + 6 + 2 + len(name) + 2 + 2 * 8 + 8  # of the first tensor
+    for bits in (4, 8):
+        q = quantize_bundle(bundle, QuantSpec(bits))
+        q.tensors = {name: QuantizedTensor((8, 8), bits, codes, np.float32([0.25])),
+                     **{n: t for n, t in q.tensors.items() if n != name}}
+        path = tmp_path / f"per-tensor{bits}.ealm"
+        save_bundle(q, path)
+        data = bytearray(path.read_bytes())
+        assert data[gran_at] == 1
+        data[gran_at] = 0
+        path.write_bytes(bytes(data))
+        loaded = load_bundle(path)
+        assert bundles_equal(q, loaded)
+        assert np.array_equal(dequantize(loaded.tensors[name]), codes * np.float32(0.25))
+    data[gran_at] = 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(BundleCorruptionError, match=name):
+        load_bundle(path)
+
 
 def test_empty_tensor_map(tmp_path):
     b = tiny_bundle()
     b.tensors = {}
     path = tmp_path / "e.ealm"
     save_bundle(b, path)
-    assert load_bundle(path).tensors == {}
+    with pytest.raises(BundleFormatError, match="missing tensors") as e:
+        load_bundle(path)
+    assert str(path) in str(e.value)
 
 
 def test_bad_magic(tmp_path):
@@ -89,14 +119,22 @@ def test_duplicate_names_rejected():
     with pytest.raises(BundleError):
         bundle.validate()
 
+    # scales must be one per row, or one for the whole tensor
+    q = quantize_bundle(init_model(cfg), QuantSpec(8))
+    t = q.tensors["layers.0.attn.wq"]
+    q.validate()
+    q.tensors["layers.0.attn.wq"] = QuantizedTensor(t.shape, 8, t.codes, np.ones(3, np.float32))
+    with pytest.raises(BundleError, match="3 scales for 2 rows"):
+        q.validate()
+
 
 def test_payload_bytes_examples():
     t = np.zeros((2, 3), dtype=np.float32)
     assert tensor_payload_bytes(t) == 24
     assert tensor_payload_bytes(t.astype(np.float16)) == 12
     q4 = quantize(np.asarray([[1.0, -2.0, 3.0], [0.5, 0.25, -1.0]], np.float32),
-                  QuantSpec(4, granularity="per-tensor"))
-    assert tensor_payload_bytes(q4) == 3 + 4  # ceil(6/2) + one f32 scale
+                  QuantSpec(4))
+    assert tensor_payload_bytes(q4) == 3 + 2 * 4  # ceil(6/2) + one f32 scale per row
 
 
 def test_size_monotonicity():
@@ -109,6 +147,6 @@ def test_size_monotonicity():
 def test_4bit_code_payload_is_exactly_one_eighth():
     rng = np.random.default_rng(0)
     t = rng.normal(size=(16, 32)).astype(np.float32)
-    q = quantize(t, QuantSpec(4, granularity="per-tensor"))
+    q = quantize(t, QuantSpec(4))
     code_bytes = tensor_payload_bytes(q) - 4 * q.scales.size
     assert code_bytes == (4 * t.size) // 8
