@@ -34,7 +34,7 @@ def read_jsonl(path) -> list[tuple[int, DatasetRecord]]:
     records = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     for lineno, line in enumerate(lines, 1):
         if not line.strip():

@@ -1,9 +1,10 @@
 """Text-quality metrics (BLEU, ROUGE-1/2/L, METEOR, term-frequency cosine) plus
 generation throughput.
 
-All metrics operate on lowercased whitespace tokens and stay in [0, 1].
-BLEU uses no smoothing: any zero n-gram precision yields 0. METEOR runs the
-exact-match stage only, with the canonical (10, 0.5, 3) parameters.
+All metrics compare an output with its one reference, operate on lowercased
+whitespace tokens and stay in [0, 1]. BLEU uses no smoothing: any zero n-gram
+precision yields 0. METEOR runs the exact-match stage only, with the
+canonical (10, 0.5, 3) parameters.
 """
 
 from __future__ import annotations
@@ -48,53 +49,35 @@ def _ngrams(tokens, n) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped_counts(candidate, references, n) -> tuple[int, int]:
-    cand = _ngrams(candidate, n)
-    best = Counter()
-    for ref in references:
-        for gram, cnt in _ngrams(ref, n).items():
-            if cnt > best[gram]:
-                best[gram] = cnt
-    clipped = sum(min(cnt, best[g]) for g, cnt in cand.items())
-    return clipped, sum(cand.values())
-
-
-def _closest_ref_length(candidate, references) -> int:
-    c = len(candidate)
-    return min((abs(len(r) - c), len(r)) for r in references)[1]
-
-
-def bleu(candidate, references, max_n: int = 4) -> float:
-    """Corpus-style BLEU for a single candidate against one or more references."""
-    if not candidate:
-        raise MetricError("candidate must be nonempty")
-    if not references:
-        raise MetricError("reference set must be nonempty")
-    return corpus_bleu([(candidate, references)], max_n)
+def _overlap(candidate, reference, n) -> tuple[int, int, int]:
+    """(clipped n-gram matches, candidate n-grams, reference n-grams)."""
+    cand, ref = _ngrams(candidate, n), _ngrams(reference, n)
+    clipped = sum(min(cnt, ref[g]) for g, cnt in cand.items())
+    return clipped, sum(cand.values()), sum(ref.values())
 
 
 def corpus_bleu(pairs, max_n: int = 4) -> float:
-    """BLEU over a corpus: pooled clipped counts and pooled brevity lengths."""
+    """BLEU over (candidate, reference) token pairs: pooled clipped counts and
+    pooled brevity lengths."""
     if not pairs:
         raise MetricError("empty corpus")
     clipped = [0] * max_n
     totals = [0] * max_n
     c_total = r_total = 0
-    for candidate, references in pairs:
-        if isinstance(references[0], str):  # single reference passed bare
-            references = [references]
+    for candidate, reference in pairs:
         for n in range(1, max_n + 1):
-            cl, tot = _clipped_counts(candidate, references, n)
+            cl, tot, _ = _overlap(candidate, reference, n)
             clipped[n - 1] += cl
             totals[n - 1] += tot
         c_total += len(candidate)
-        r_total += _closest_ref_length(candidate, references)
+        r_total += len(reference)
     log_p = 0.0
     for cl, tot in zip(clipped, totals):
         if cl == 0 or tot == 0:
             return 0.0
         log_p += math.log(cl / tot)
-    bp = min(1.0, math.exp(1.0 - r_total / c_total)) if c_total else 0.0
+    # a zero unigram total returned above, so c_total > 0 here
+    bp = min(1.0, math.exp(1.0 - r_total / c_total))
     return bp * math.exp(log_p / max_n)
 
 
@@ -107,9 +90,7 @@ def rouge_n(candidate, reference, n: int) -> float:
         raise MetricError(f"rouge_n supports n in {{1, 2}}, got {n}")
     if not candidate or not reference:
         raise MetricError("rouge_n needs nonempty inputs")
-    cand, ref = _ngrams(candidate, n), _ngrams(reference, n)
-    overlap = sum(min(cnt, ref[g]) for g, cnt in cand.items())
-    n_cand, n_ref = sum(cand.values()), sum(ref.values())
+    overlap, n_cand, n_ref = _overlap(candidate, reference, n)
     if n_cand == 0 or n_ref == 0:
         return 0.0
     return _f1(overlap / n_cand, overlap / n_ref)
@@ -210,11 +191,10 @@ def score_outputs(pairs, n_tokens: int, duration_s: float) -> MetricScores:
     def mean(fn):
         return sum(fn(c, r) for c, r in scorable) / n if scorable else 0.0
 
-    bleu_pairs = [(c, [r]) for c, r in scorable]
     return MetricScores(
-        bleu=corpus_bleu(bleu_pairs) if bleu_pairs else 0.0,
+        bleu=corpus_bleu(scorable) if scorable else 0.0,
         rouge1_f=mean(lambda c, r: rouge_n(c, r, 1)),
-        rouge2_f=mean(lambda c, r: rouge_n(c, r, 2) if len(c) > 1 and len(r) > 1 else 0.0),
+        rouge2_f=mean(lambda c, r: rouge_n(c, r, 2)),
         rougeL_f=mean(rouge_l),
         meteor=mean(meteor),
         cosine=mean(cosine),

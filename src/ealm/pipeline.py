@@ -30,8 +30,8 @@ from .meter import (
     report_from_dict,
 )
 from .metrics import MetricError, MetricScores, score_outputs
-from .rank import CandidateRecord
-from .tensors import (BundleError, Lineage, LmConfig, load_bundle, payload_bytes,
+from .rank import CandidateRecord, TrainRecord
+from .tensors import (BundleError, Lineage, LmConfig, is_int, load_bundle, payload_bytes,
                       save_bundle, write_atomic)
 
 import numpy as np
@@ -71,16 +71,25 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.bits_grid or not self.epochs_grid:
             raise ConfigError("bits_grid and epochs_grid must be nonempty")
-        for b in self.bits_grid:
-            if b not in (4, 8, 16, 32):
-                raise ConfigError(f"bits_grid entry {b} not in {{4, 8, 16, 32}}")
-        for e in self.epochs_grid:
-            if e < 1:
-                raise ConfigError(f"epochs_grid entry {e} must be >= 1")
+        for p in self.nm_patterns:
+            if len(p) != 2:
+                raise ConfigError(f"nm_patterns entry {list(p)} is not an [n, m] pair")
+        counts = {"bits_grid": self.bits_grid, "seed": [self.seed],
+                  "nm_patterns": [x for p in self.nm_patterns for x in p],
+                  "epochs_grid": self.epochs_grid, "k": [self.k],
+                  "lora_rank": [self.lora_rank], "max_new_tokens": [self.max_new_tokens]}
+        for name, values in counts.items():
+            for v in values:
+                if not is_int(v):
+                    raise ConfigError(f"{name}: {v!r} is not an integer")
+                if v < 1 and name in ("epochs_grid", "k", "lora_rank", "max_new_tokens"):
+                    raise ConfigError(f"{name} must be >= 1, got {v}")
         try:
+            for b in self.bits_grid:
+                quant_mod.QuantSpec(b)
             variants = self.prune_variants()
-        except prune_mod.PruneError as e:
-            raise ConfigError(f"bad pruning grid: {e}") from e
+        except (quant_mod.QuantError, prune_mod.PruneError) as e:
+            raise ConfigError(f"bad bits or pruning grid: {e}") from e
         # a candidate's id names its grid cell, so a repeated cell repeats an id
         for what, cells in (("bits_grid", self.bits_grid), ("epochs_grid", self.epochs_grid),
                             ("prune_ratios and nm_patterns", [v for v, _ in variants])):
@@ -88,9 +97,6 @@ class PipelineConfig:
                 raise ConfigError(f"repeated candidate id from {what}: {cells}")
         if not 0 <= self.w <= 1:
             raise ConfigError(f"w must be in [0, 1], got {self.w}")
-        for name in ("k", "lora_rank", "max_new_tokens"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         try:
@@ -127,9 +133,9 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
-        if "nm_patterns" in d:
-            d["nm_patterns"] = [tuple(p) for p in d["nm_patterns"]]
         try:
+            if "nm_patterns" in d:
+                d["nm_patterns"] = [tuple(p) for p in d["nm_patterns"]]
             return cls(**d)
         except TypeError as e:
             raise ConfigError(f"bad config: {e}") from e
@@ -138,7 +144,7 @@ class PipelineConfig:
     def from_file(cls, path) -> "PipelineConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read {path}: {e}") from e
         if str(path).endswith((".yaml", ".yml")):
             import yaml
@@ -202,11 +208,10 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                 model = tinylm.TinyLm(bundle)
                 train_recs = []
                 for e in range(1, epochs + 1):
-                    (adapters, tr), tr_energy = meter.measure(
-                        tinylm.train_epoch, model, adapters, sequences, config.lr, e
+                    (adapters, loss), energy = meter.measure(
+                        tinylm.train_epoch, model, adapters, sequences, config.lr
                     )
-                    tr.energy = tr_energy
-                    train_recs.append(tr)
+                    train_recs.append(TrainRecord(e, loss, energy))
                 scores, eval_energy = evaluate_model(
                     model, adapters, eval_records, meter, config.max_new_tokens
                 )
@@ -287,8 +292,7 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
                 continue
             try:
                 pruned = prune_mod.prune_bundle(bundle, spec) if spec else bundle
-                # pruning already measured what it left; the unpruned model is measured here
-                lineage.sparsity = pruned.lineage.sparsity if spec else prune_mod.sparsity(pruned)
+                lineage.sparsity = prune_mod.sparsity(pruned)
                 model = tinylm.TinyLm(pruned)
                 scores, energy = evaluate_model(
                     model, None, eval_records, meter, config.max_new_tokens
@@ -357,7 +361,7 @@ def emit_report(records: list[CandidateRecord], baseline: CandidateRecord,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ok = [r for r in records if r.status == "ok"]
-    ranked = sorted(ok, key=lambda r: (-r.r_score, r.energy.total_joules, r.id))
+    ranked = sorted(ok, key=rank_mod.rank_key)
     derived = {
         rec.id: {
             "energy_saving_pct": 100.0 * (1.0 - rec.energy.total_joules
@@ -428,7 +432,7 @@ def load_candidates(path) -> list[CandidateRecord]:
     try:
         return [CandidateRecord.from_dict(d)
                 for d in json.loads(Path(path).read_text(encoding="utf-8"))]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:  # ValueError: bad UTF-8 or JSON
         raise _unreadable(path, e) from e
 
 

@@ -7,7 +7,6 @@ reports the share of them that are zero.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -85,8 +84,8 @@ def build_mask(bundle: ModelBundle, spec: PruneSpec) -> dict[str, np.ndarray]:
     return {name: nm_mask(dequantize(t).T, spec.n, spec.m).T for name, t in targets.items()}
 
 
-def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray],
-               spec: PruneSpec | None = None) -> ModelBundle:
+def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray]) -> ModelBundle:
+    """The bundle with every masked-out value zeroed; its lineage is kept as is."""
     tensors = {}
     for name, t in bundle.tensors.items():
         m = masks.get(name)
@@ -101,13 +100,7 @@ def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray],
             tensors[name] = QuantizedTensor(t.shape, t.bits, codes, t.scales.copy())
         else:
             tensors[name] = np.where(m, t, t.dtype.type(0)).astype(t.dtype)
-    out = ModelBundle(tensors=tensors, config=bundle.config)
-    out.lineage = dataclasses.replace(
-        bundle.lineage,
-        prune=spec.to_dict() if spec is not None else bundle.lineage.prune,
-        sparsity=sparsity(out),
-    )
-    return out
+    return ModelBundle(tensors=tensors, config=bundle.config, lineage=bundle.lineage)
 
 
 def sparsity(bundle: ModelBundle) -> float:
@@ -125,4 +118,4 @@ def sparsity(bundle: ModelBundle) -> float:
 
 
 def prune_bundle(bundle: ModelBundle, spec: PruneSpec) -> ModelBundle:
-    return apply_mask(bundle, build_mask(bundle, spec), spec)
+    return apply_mask(bundle, build_mask(bundle, spec))

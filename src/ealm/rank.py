@@ -12,11 +12,17 @@ from dataclasses import dataclass, field
 from .meter import EnergyReport, report_from_dict
 from .metrics import MetricScores
 from .tensors import Lineage
-from .tinylm import TrainRecord
 
 
 class RankError(Exception):
     pass
+
+
+@dataclass
+class TrainRecord:
+    epoch: int
+    loss: float
+    energy: EnergyReport | None = None
 
 
 @dataclass
@@ -95,15 +101,16 @@ def rank_score(phi: float, rho: float, w: float) -> float:
     return w * phi + (1.0 - w) * rho
 
 
+def rank_key(rec: CandidateRecord):
+    """Descending R; ties broken by lower total joules, then id."""
+    joules = rec.energy.total_joules if rec.energy else float("inf")
+    return (-rec.r_score, joules, rec.id)
+
+
 def select_top_k(collection: list[CandidateRecord], k: int) -> list[CandidateRecord]:
-    """The first k by descending R; ties broken by lower total joules, then id."""
+    """The first k by `rank_key`."""
     if k < 1:
         raise RankError(f"k must be >= 1, got {k}")
     if not collection:
         raise RankError("empty candidate collection")
-
-    def key(rec: CandidateRecord):
-        joules = rec.energy.total_joules if rec.energy else float("inf")
-        return (-rec.r_score, joules, rec.id)
-
-    return sorted(collection, key=key)[:k]
+    return sorted(collection, key=rank_key)[:k]

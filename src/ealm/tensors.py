@@ -44,6 +44,12 @@ class BundleCorruptionError(BundleError):
 WEIGHT_MATRICES = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2")
 
 
+def is_int(v) -> bool:
+    """An int and not a bool: a float or bool count passes a range check, then
+    fails deep inside a run."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class LmConfig:
     """Architecture metadata for the tiny decoder-only LM."""
@@ -58,8 +64,9 @@ class LmConfig:
 
     def __post_init__(self):
         for f in ("d_model", "n_layers", "n_heads", "d_ff", "max_seq", "vocab_size"):
-            if getattr(self, f) < 1:
-                raise ValueError(f"{f} must be >= 1")
+            v = getattr(self, f)
+            if not is_int(v) or v < 1:
+                raise ValueError(f"{f} must be an integer >= 1, got {v!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
 
@@ -294,7 +301,10 @@ def load_bundle(path) -> ModelBundle:
     tensors: dict[str, np.ndarray | QuantizedTensor] = {}
     for _ in range(count):
         (nlen,) = rd.unpack("<H", "name length")
-        name = rd.take(nlen, "name").decode("utf-8")
+        try:
+            name = rd.take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise BundleCorruptionError(f"{path}: tensor name is not UTF-8") from e
         rd.context = f"{path} tensor {name!r}"
         dtype_code, rank = rd.unpack("<BB", "dtype/rank")
         dims = tuple(rd.unpack(f"<{rank}Q", "dims")) if rank else ()

@@ -117,13 +117,6 @@ def init_adapters(config: LmConfig, rank: int = 4, alpha: float = 8.0, seed: int
     return LoraAdapters(rank=rank, alpha=float(alpha), a=a, b=b)
 
 
-@dataclass
-class TrainRecord:
-    epoch: int
-    loss: float
-    energy: object | None = None  # EnergyReport; the caller fills it in
-
-
 # ---------------------------------------------------------------------------
 # numerics
 
@@ -287,49 +280,37 @@ class TinyLm:
             dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
         return io
 
-    def loss_and_grads(self, sequences, adapters: LoraAdapters):
-        """Mean next-token cross-entropy over all predicted positions of all
-        sequences, plus gradients w.r.t. every adapter factor."""
-        n_pred = sum(max(len(s) - 1, 0) for s in sequences)
-        if n_pred == 0:
-            raise LmError("no predictable tokens in dataset")
-        adapted = set(adapters.a)
-        total = 0.0
+    def loss_and_grads(self, seq, adapters: LoraAdapters):
+        """Mean next-token cross-entropy over the predicted positions of one
+        sequence, plus gradients w.r.t. every adapter factor."""
+        logits, cache = self.forward_cached(seq, adapters)
+        nll, probs, targets = _nll(logits, seq)
+        dlogits = np.zeros_like(logits)
+        dlogits[:-1] = probs
+        dlogits[np.arange(targets.size), targets] -= 1.0
+        dlogits /= targets.size
+        # dA = s * dW @ B.T and dB = s * A.T @ dW, with dW = inp.T @ dout
+        # kept factored: the intermediates are T x r and r x q.
         s = adapters.scaling
-        da = {n: np.zeros_like(adapters.a[n]) for n in adapters.a}
-        db = {n: np.zeros_like(adapters.b[n]) for n in adapters.b}
-        for seq in sequences:
-            if len(seq) < 2:
-                continue
-            logits, cache = self.forward_cached(seq, adapters)
-            nll, probs, targets = _nll(logits, seq)
-            total += nll
-            dlogits = np.zeros_like(logits)
-            dlogits[:-1] = probs
-            dlogits[np.arange(targets.size), targets] -= 1.0
-            dlogits /= n_pred
-            # dA = s * dW @ B.T and dB = s * A.T @ dW, with dW = inp.T @ dout
-            # kept factored: the intermediates are T x r and r x q.
-            for name, (inp, dout) in self._backward_io(dlogits, cache, adapted).items():
-                da[name] += s * (inp.T @ (dout @ adapters.b[name].T))
-                db[name] += s * ((inp @ adapters.a[name]).T @ dout)
-        return total / n_pred, {n: (da[n], db[n]) for n in da}
+        grads = {name: (s * (inp.T @ (dout @ adapters.b[name].T)),
+                        s * ((inp @ adapters.a[name]).T @ dout))
+                 for name, (inp, dout) in self._backward_io(dlogits, cache, set(adapters.a)).items()}
+        return nll / targets.size, grads
 
 
 # ---------------------------------------------------------------------------
 # module-level ops
 
 
-def train_epoch(model: TinyLm, adapters: LoraAdapters, sequences, lr: float,
-                epoch: int = 0):
+def train_epoch(model: TinyLm, adapters: LoraAdapters, sequences, lr: float):
     """One pass of plain gradient descent: a GD step per sequence, in dataset
-    order. Returns (new adapters, record with the token-mean pass loss)."""
+    order. Returns (new adapters, token-mean pass loss)."""
     total_nll = 0.0
     n_pred = 0
     for seq in sequences:
         if len(seq) < 2:
             continue
-        loss, grads = model.loss_and_grads([seq], adapters)
+        loss, grads = model.loss_and_grads(seq, adapters)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at lr={lr}")
         adapters = adapters.step(grads, lr)
@@ -337,7 +318,7 @@ def train_epoch(model: TinyLm, adapters: LoraAdapters, sequences, lr: float,
         n_pred += len(seq) - 1
     if n_pred == 0:
         raise LmError("no predictable tokens in dataset")
-    return adapters, TrainRecord(epoch=epoch, loss=total_nll / n_pred)
+    return adapters, total_nll / n_pred
 
 
 def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new: int) -> list[int]:

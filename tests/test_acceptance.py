@@ -17,7 +17,7 @@ from ealm import pipeline as pl
 from ealm import tinylm
 from ealm.data import generate_synthetic_corpus, save_jsonl
 from ealm.meter import Meter, MeterConfig, PowerSample, combine_reports, counter_delta, integrate
-from ealm.metrics import bleu, cosine, meteor, rouge_l, rouge_n
+from ealm.metrics import corpus_bleu, cosine, meteor, rouge_l, rouge_n
 from ealm.prune import magnitude_mask, nm_mask
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
 from ealm.rank import CandidateRecord, rank_score, select_top_k
@@ -133,42 +133,43 @@ def test_criterion_4_gradients():
     cfg = LmConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=64, init_seed=1)
     bundle = tinylm.init_model(cfg)
     model = tinylm.TinyLm(bundle)
-    adapters = tinylm.init_adapters(cfg, rank=4, alpha=8.0, seed=1)
     seqs = [tinylm.encode_example("fault e01 link", "reset card 2"),
             tinylm.encode_example("fault e02 cpu", "patch node 1")]
-    _, grads = model.loss_and_grads(seqs, adapters)
-    adapters = adapters.step(grads, 0.5)  # make B nonzero so A gets gradient
-    _, grads = model.loss_and_grads(seqs, adapters)
+    start = tinylm.init_adapters(cfg, rank=4, alpha=8.0, seed=1)
+    for seq in seqs:
+        _, grads = model.loss_and_grads(seq, start)
+        adapters = start.step(grads, 0.5)  # make B nonzero so A gets gradient
+        _, grads = model.loss_and_grads(seq, adapters)
 
-    coords = []
-    for name in adapters.a:
-        for which in (0, 1):
-            g = grads[name][which]
-            for idx in np.argsort(-np.abs(g), axis=None)[:4]:
-                i, j = np.unravel_index(idx, g.shape)
-                coords.append((abs(g[i, j]), name, which, i, j))
-    coords.sort(reverse=True)
-    h = 1e-3
-    checked = 0
-    for _, name, which, i, j in coords[:24]:
-        arr = (adapters.a if which == 0 else adapters.b)[name]
-        orig = arr[i, j]
-        arr[i, j] = orig + h
-        lp = evaluation_loss(model, seqs, adapters)
-        arr[i, j] = orig - h
-        lm = evaluation_loss(model, seqs, adapters)
-        arr[i, j] = orig
-        fd = (lp - lm) / (2 * h)
-        g = grads[name][which][i, j]
-        assert abs(g - fd) / max(abs(g), abs(fd), 1e-8) < 1e-2
-        checked += 1
-    assert checked >= 20
+        coords = []
+        for name in adapters.a:
+            for which in (0, 1):
+                g = grads[name][which]
+                for idx in np.argsort(-np.abs(g), axis=None)[:4]:
+                    i, j = np.unravel_index(idx, g.shape)
+                    coords.append((abs(g[i, j]), name, which, i, j))
+        coords.sort(reverse=True)
+        h = 1e-3
+        checked = 0
+        for _, name, which, i, j in coords[:24]:
+            arr = (adapters.a if which == 0 else adapters.b)[name]
+            orig = arr[i, j]
+            arr[i, j] = orig + h
+            lp = evaluation_loss(model, [seq], adapters)
+            arr[i, j] = orig - h
+            lm = evaluation_loss(model, [seq], adapters)
+            arr[i, j] = orig
+            fd = (lp - lm) / (2 * h)
+            g = grads[name][which][i, j]
+            assert abs(g - fd) / max(abs(g), abs(fd), 1e-8) < 1e-2
+            checked += 1
+        assert checked >= 20
 
 
 @acceptance(5, "metric oracles and bounds")
 def test_criterion_5_metrics():
     # derived vectors
-    assert bleu("a b c d".split(), ["a b c d e f g h".split()]) == pytest.approx(
+    assert corpus_bleu([("a b c d".split(), "a b c d e f g h".split())]) == pytest.approx(
         math.exp(-1.0), abs=1e-6)
     assert rouge_n("the cat sat".split(), "the cat".split(), 1) == pytest.approx(
         0.8, abs=1e-6)
@@ -183,7 +184,7 @@ def test_criterion_5_metrics():
     for _ in range(10000):
         c = [vocab[i] for i in rng.integers(0, 5, size=rng.integers(1, 8))]
         r = [vocab[i] for i in rng.integers(0, 5, size=rng.integers(1, 8))]
-        vals = [bleu(c, [r]), rouge_n(c, r, 1), rouge_l(c, r), meteor(c, r),
+        vals = [corpus_bleu([(c, r)]), rouge_n(c, r, 1), rouge_l(c, r), meteor(c, r),
                 cosine(c, r)]
         if len(c) > 1 and len(r) > 1:
             vals.append(rouge_n(c, r, 2))
@@ -244,16 +245,16 @@ def test_criterion_7_training():
         model = tinylm.TinyLm(bundle)
         adapters = tinylm.init_adapters(cfg, rank=16, alpha=32.0, seed=7)
         losses = []
-        for e in range(1, 6):
-            adapters, tr = tinylm.train_epoch(model, adapters, seqs, lr=0.05, epoch=e)
-            losses.append(tr.loss)
+        for _ in range(5):
+            adapters, loss = tinylm.train_epoch(model, adapters, seqs, lr=0.05)
+            losses.append(loss)
         assert losses[4] < losses[0], f"{bits}-bit base did not learn"
 
     # memorization: after 30 epochs greedy decode reproduces >= 12/16 references
     model = tinylm.TinyLm(base32)
     adapters = tinylm.init_adapters(cfg, rank=16, alpha=32.0, seed=7)
-    for e in range(1, 31):
-        adapters, _ = tinylm.train_epoch(model, adapters, seqs, lr=0.05, epoch=e)
+    for _ in range(30):
+        adapters, _ = tinylm.train_epoch(model, adapters, seqs, lr=0.05)
     hits = 0
     for r in records:
         p = tinylm.encode_prompt(r.prompt)

@@ -24,7 +24,9 @@ def _definitions(tree: ast.Module):
 
 def _references(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        # a Name read, not one assigned to: a dataclass field or a local
+        # variable named like a function does not reach that function
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

@@ -171,7 +171,9 @@ def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypa
     # one model per loop-1 cell, then one per loop-2 variant, in record order
     assert len(evaluated) == len(loop1) + len(loop2)
     assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1):]
-    assert any(r.lineage.prune is None for r in loop2)
+    # the pipeline records what it pruned: each parent's variants in grid order
+    specs = [spec.to_dict() if spec else None for _, spec in cfg.prune_variants()]
+    assert [r.lineage.prune for r in loop2] == specs * cfg.k
 
 
 def test_readme_quickstart_config_loads():
@@ -442,6 +444,29 @@ def test_cli_exit_codes(tmp_path):
     assert not (tmp_path / "out" / "candidates_loop1.json").exists()
 
 
+def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
+    """A byte that is not UTF-8 in a config file is a config error; in a
+    dataset, `stats` and every stage that reads it stop with exit 3. Each
+    message names the file."""
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_bytes(b'{"out_dir": "\xff"}')
+    bad_data = tmp_path / "bad.jsonl"
+    bad_data.write_bytes(b'{"prompt": "fault \xff", "reference": "reset card 2"}\n')
+    cases = [(["run-all", "--config", str(bad_cfg)], 2, "config error:", bad_cfg),
+             (["stats", "--data", str(bad_data)], 3, "error:", bad_data)]
+    for field, commands in (("train_path", ["finetune-grid", "run-all"]),
+                            ("eval_path", ["finetune-grid", "prune-grid", "run-all"])):
+        cfg_path = tmp_path / f"{field}.json"
+        cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), field: str(bad_data)}))
+        cases += [([c, "--config", str(cfg_path)], 3, "stage error:", bad_data) for c in commands]
+    for argv, code, prefix, named in cases:
+        capsys.readouterr()
+        assert cli.main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and str(named) in err, (argv, err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides, meter_spec", [
     pytest.param({"meter": {"sampling_interval_s": 0}}, None, id="sampling-interval-0"),
     pytest.param({"meter": {"source": "bogus"}}, None, id="meter-source"),
@@ -467,6 +492,20 @@ def test_cli_exit_codes(tmp_path):
     pytest.param({"prune_ratios": [0.5, 0.5]}, None, id="repeated-ratio"),
     pytest.param({"prune_ratios": [0.1, 0.104]}, None, id="ratios-one-id"),
     pytest.param({"nm_patterns": [[2, 4], [2, 4]]}, None, id="repeated-nm"),
+    # a count of the wrong type would pass a range check and fail mid-run
+    pytest.param({"k": 1.5}, None, id="k-float"),
+    pytest.param({"k": True}, None, id="k-bool"),
+    pytest.param({"epochs_grid": [1.5]}, None, id="epochs-float"),
+    pytest.param({"bits_grid": [4.0]}, None, id="bits-float"),
+    pytest.param({"max_new_tokens": 2.5}, None, id="max-new-tokens-float"),
+    pytest.param({"lora_rank": 2.0}, None, id="lora-rank-float"),
+    pytest.param({"seed": 0.5}, None, id="seed-float"),
+    pytest.param({"d_model": 32.0}, None, id="d-model-float"),
+    pytest.param({"n_layers": True}, None, id="n-layers-bool"),
+    pytest.param({"nm_patterns": [[2]]}, None, id="nm-not-a-pair"),
+    pytest.param({"nm_patterns": [[2, 4, 8]]}, None, id="nm-triple"),
+    pytest.param({"nm_patterns": [2]}, None, id="nm-not-a-list"),
+    pytest.param({"nm_patterns": [[2.0, 4]]}, None, id="nm-float"),
 ])
 def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, meter_spec):
     cfg_path = tmp_path / "cfg.json"
@@ -592,6 +631,10 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "truncated:artifacts/{top}.adapters.npz"),
     # an adapters file without its rank
     ("prune-grid", "npz-key:artifacts/{top}.adapters.npz"),
+    # a byte that is not UTF-8 in a record id or a tensor name
+    ("rank", "non-utf8:candidates_loop1.json"),
+    ("prune-grid", "non-utf8:topk.json"),
+    ("prune-grid", "non-utf8:artifacts/{top}.ealm"),
 ])
 def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, command, missing):
     cfg_path, ranked_out, top = ranked_state
@@ -620,6 +663,13 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
             recs = json.loads(victim.read_text())
             recs[0]["lineage"]["bogus"] = 1
             victim.write_text(json.dumps(recs))
+    elif missing and missing.startswith("non-utf8:"):
+        victim = out / missing.removeprefix("non-utf8:").format(top=top)
+        data = bytearray(victim.read_bytes())
+        # an .ealm's first tensor name follows magic, version, count and its
+        # length: 4 + 2 + 4 + 2 bytes; a JSON file's first value is a record id
+        data[12 if victim.suffix == ".ealm" else data.index(b'"id": "') + 7] = 0xFF
+        victim.write_bytes(bytes(data))
     elif missing and missing.startswith("drop-tensor:"):
         victim = out / missing.removeprefix("drop-tensor:").format(top=top)
         bundle = load_bundle(victim)

@@ -9,13 +9,13 @@ from ealm.metrics import MetricScores
 from ealm.rank import (
     CandidateRecord,
     RankError,
+    TrainRecord,
     efficiency_score,
     performance_score,
     rank_score,
     select_top_k,
 )
 from ealm.tensors import Lineage
-from ealm.tinylm import TrainRecord
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

@@ -80,19 +80,19 @@ def test_softmax_rows_sum_to_one():
 def test_train_zero_lr_keeps_adapters_and_reports_eval_loss():
     bundle, adapters, seqs = small_setup()
     model = TinyLm(bundle)
-    new, rec = train_epoch(model, adapters, seqs, lr=0.0)
+    new, loss = train_epoch(model, adapters, seqs, lr=0.0)
     for n in adapters.a:
         assert np.array_equal(new.a[n], adapters.a[n])
         assert np.array_equal(new.b[n], adapters.b[n])
-    assert rec.loss == pytest.approx(evaluation_loss(model, seqs, adapters), rel=1e-12)
+    assert loss == pytest.approx(evaluation_loss(model, seqs, adapters), rel=1e-12)
 
 
 def test_frozen_base_after_training():
     bundle, adapters, seqs = small_setup()
     before = {n: t.tobytes() for n, t in bundle.tensors.items()}
     model = TinyLm(bundle)
-    for e in range(3):
-        adapters, _ = train_epoch(model, adapters, seqs, lr=0.05, epoch=e)
+    for _ in range(3):
+        adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
     assert {n: t.tobytes() for n, t in bundle.tensors.items()} == before
 
 
@@ -100,47 +100,48 @@ def test_loss_decreases_over_epochs():
     bundle, adapters, seqs = small_setup(rank=8, alpha=16)
     model = TinyLm(bundle)
     losses = []
-    for e in range(5):
-        adapters, rec = train_epoch(model, adapters, seqs, lr=0.05, epoch=e + 1)
-        losses.append(rec.loss)
+    for _ in range(5):
+        adapters, loss = train_epoch(model, adapters, seqs, lr=0.05)
+        losses.append(loss)
     assert losses[4] < losses[0]
 
 
 def test_adapter_gradients_match_finite_differences():
-    bundle, adapters, seqs = small_setup()
+    bundle, start, seqs = small_setup()
     model = TinyLm(bundle)
-    # one step so B is nonzero and A receives gradient
-    loss, grads = model.loss_and_grads(seqs, adapters)
-    adapters = adapters.step(grads, 0.5)
-    _, grads = model.loss_and_grads(seqs, adapters)
+    for seq in seqs:
+        # one step so B is nonzero and A receives gradient
+        _, grads = model.loss_and_grads(seq, start)
+        adapters = start.step(grads, 0.5)
+        _, grads = model.loss_and_grads(seq, adapters)
 
-    # check the globally largest-gradient coordinates: central differences on
-    # a float32 forward pass are too noisy for near-zero entries
-    h = 1e-3
-    coords = []
-    for name in adapters.a:
-        for which in (0, 1):
+        # check the globally largest-gradient coordinates: central differences
+        # on a float32 forward pass are too noisy for near-zero entries
+        h = 1e-3
+        coords = []
+        for name in adapters.a:
+            for which in (0, 1):
+                g = grads[name][which]
+                for idx in np.argsort(-np.abs(g), axis=None)[:4]:
+                    i, j = np.unravel_index(idx, g.shape)
+                    coords.append((abs(g[i, j]), name, which, i, j))
+        coords.sort(reverse=True)
+        checked = 0
+        for _, name, which, i, j in coords[:24]:
+            arr = (adapters.a if which == 0 else adapters.b)[name]
             g = grads[name][which]
-            for idx in np.argsort(-np.abs(g), axis=None)[:4]:
-                i, j = np.unravel_index(idx, g.shape)
-                coords.append((abs(g[i, j]), name, which, i, j))
-    coords.sort(reverse=True)
-    checked = 0
-    for _, name, which, i, j in coords[:24]:
-        arr = (adapters.a if which == 0 else adapters.b)[name]
-        g = grads[name][which]
-        orig = arr[i, j]
-        arr[i, j] = orig + h
-        lp = evaluation_loss(model, seqs, adapters)
-        arr[i, j] = orig - h
-        lm = evaluation_loss(model, seqs, adapters)
-        arr[i, j] = orig
-        fd = (lp - lm) / (2 * h)
-        a = g[i, j]
-        rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-        assert rel < 1e-2, f"{name}[{i},{j}]: analytic {a} vs fd {fd}"
-        checked += 1
-    assert checked >= 20
+            orig = arr[i, j]
+            arr[i, j] = orig + h
+            lp = evaluation_loss(model, [seq], adapters)
+            arr[i, j] = orig - h
+            lm = evaluation_loss(model, [seq], adapters)
+            arr[i, j] = orig
+            fd = (lp - lm) / (2 * h)
+            a = g[i, j]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+            assert rel < 1e-2, f"{name}[{i},{j}]: analytic {a} vs fd {fd}"
+            checked += 1
+        assert checked >= 20
 
 
 def gelu_reference(x):
@@ -167,35 +168,33 @@ def test_gelu_and_its_grad_match_float64_reference():
 def test_low_rank_grads_match_dense_float64_oracle():
     assert CFG.d_ff > CFG.d_model  # w1 and w2 are not square
     model, adapters, seqs = trained_setup(quantize_bundle(init_model(CFG), QuantSpec(4)))
-    _, grads = model.loss_and_grads(seqs, adapters)
-
-    # Oracle: each sequence's (input, output gradient) pairs, contracted in
-    # float64 through the dense p x q dL/dW_eff.
-    n_pred = sum(len(seq) - 1 for seq in seqs)
     s = adapters.scaling
-    want = {n: [0.0, 0.0] for n in adapters.a}
     for seq in seqs:
+        _, grads = model.loss_and_grads(seq, adapters)
+        # Oracle: the sequence's (input, output gradient) pairs, contracted in
+        # float64 through the dense p x q dL/dW_eff.
         logits, cache = model.forward_cached(seq, adapters)
         dlogits = np.zeros(logits.shape, dtype=np.float64)
         dlogits[:-1] = tinylm._softmax(logits[:-1].astype(np.float64))
         dlogits[np.arange(len(seq) - 1), seq[1:]] -= 1.0
-        dlogits = (dlogits / n_pred).astype(np.float32)
+        dlogits = (dlogits / (len(seq) - 1)).astype(np.float32)
+        want = {}
         for name, (inp, dout) in model._backward_io(dlogits, cache, set(adapters.a)).items():
             dw = inp.astype(np.float64).T @ dout.astype(np.float64)
-            want[name][0] += s * (dw @ adapters.b[name].astype(np.float64).T)
-            want[name][1] += s * (adapters.a[name].astype(np.float64).T @ dw)
-    assert set(grads) == set(want)
-    for name, (da, db) in grads.items():
-        for got, ref in ((da, want[name][0]), (db, want[name][1])):
-            np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-6 * np.abs(ref).max(),
-                                       err_msg=name)
+            want[name] = (s * (dw @ adapters.b[name].astype(np.float64).T),
+                          s * (adapters.a[name].astype(np.float64).T @ dw))
+        assert set(grads) == set(adapters.a) == set(want)
+        for name, (da, db) in grads.items():
+            for got, ref in ((da, want[name][0]), (db, want[name][1])):
+                np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-6 * np.abs(ref).max(),
+                                           err_msg=name)
 
 
 def test_train_epoch_is_bit_identical_from_one_state():
     model, adapters, seqs = trained_setup()
-    one, rec_one = train_epoch(model, adapters, seqs, lr=0.05, epoch=4)
-    two, rec_two = train_epoch(model, adapters, seqs, lr=0.05, epoch=4)
-    assert rec_one.loss == rec_two.loss
+    one, loss_one = train_epoch(model, adapters, seqs, lr=0.05)
+    two, loss_two = train_epoch(model, adapters, seqs, lr=0.05)
+    assert loss_one == loss_two
     for n in adapters.a:
         assert one.a[n].tobytes() == two.a[n].tobytes()
         assert one.b[n].tobytes() == two.b[n].tobytes()
@@ -224,8 +223,8 @@ def trained_setup(bundle=None):
     """A model and adapters after three training epochs, so B is nonzero."""
     base, adapters, seqs = small_setup()
     model = TinyLm(bundle or base)
-    for e in range(3):
-        adapters, _ = train_epoch(model, adapters, seqs, lr=0.05, epoch=e + 1)
+    for _ in range(3):
+        adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
     assert all(np.any(b != 0) for b in adapters.b.values())
     return model, adapters, seqs
 
@@ -310,8 +309,9 @@ def test_merge_adapters_equivalence():
     bundle, adapters, seqs = small_setup()
     model = TinyLm(bundle)
     for _ in range(3):
-        _, grads = model.loss_and_grads(seqs, adapters)
-        adapters = adapters.step(grads, 0.1)
+        for seq in seqs:
+            _, grads = model.loss_and_grads(seq, adapters)
+            adapters = adapters.step(grads, 0.1)
     merged = merge_adapters(bundle, adapters)
     for name in adapters.a:  # at 32 bits, the float32 sum itself
         want = (bundle.tensors[name]
@@ -376,8 +376,8 @@ def test_memorization_smoke():
     model = TinyLm(bundle)
     adapters = init_adapters(cfg, rank=16, alpha=32, seed=7)
     seqs = [encode_example(r.prompt, r.reference) for r in recs]
-    for e in range(30):
-        adapters, rec = train_epoch(model, adapters, seqs, lr=0.05, epoch=e + 1)
+    for _ in range(30):
+        adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
     hits = 0
     for r in recs:
         p = encode_prompt(r.prompt)
