@@ -95,10 +95,15 @@ class PipelineConfig:
                             ("prune_ratios and nm_patterns", [v for v, _ in variants])):
             if len(set(cells)) < len(cells):
                 raise ConfigError(f"repeated candidate id from {what}: {cells}")
+        reals = {"w": self.w, "lr": self.lr, "lora_alpha": self.lora_alpha}
+        for name, v in reals.items():
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ConfigError(f"{name}: {v!r} is not a number")
         if not 0 <= self.w <= 1:
             raise ConfigError(f"w must be in [0, 1], got {self.w}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("lr", "lora_alpha"):
+            if not (math.isfinite(reals[name]) and reals[name] > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {reals[name]}")
         try:
             self.lm_config()
         except (ValueError, TypeError) as e:

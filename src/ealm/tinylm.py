@@ -122,9 +122,9 @@ def init_adapters(config: LmConfig, rank: int = 4, alpha: float = 8.0, seed: int
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # The ufunc reductions `ndarray.max`/`sum` run, without their wrappers.
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,20 +149,23 @@ def _nll(logits: np.ndarray, seq):
 
 
 def _layernorm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    # The float32 sums and divisions `ndarray.mean`/`var` perform, without
+    # their Python wrappers; the centred `xc` is computed once.
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + LN_EPS)
+    xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
 
 
 def _layernorm_backward(dy, cache):
     xhat, inv, g = cache
+    n = dy.shape[-1]
     dxhat = dy * g
     return inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
     )
 
 
@@ -220,7 +223,9 @@ class TinyLm:
         ids = self._check_tokens(tokens, start)
         T = ids.size
         x = (self.w["tok_emb"][ids] + self.w["pos_emb"][start:start + T]).astype(np.float32)
-        causal = np.triu(np.full((T, start + T), -1e9, dtype=np.float32), k=start + 1)
+        # One new token may attend to every cached position: no mask to add.
+        causal = (np.triu(np.full((T, start + T), -1e9, dtype=np.float32), k=start + 1)
+                  if T > 1 else None)
         layers = []
         for i in range(self.config.n_layers):
             p = f"layers.{i}."
@@ -237,7 +242,9 @@ class TinyLm:
                 kv.w.append(w)
                 kv.k.append(k)
                 kv.v.append(v)
-            scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_head) + causal
+            scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_head)
+            if causal is not None:
+                scores += causal
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
             x = x + o @ w["attn.wo"]

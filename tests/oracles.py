@@ -1,11 +1,12 @@
 """Reference helpers the tests compare the package against: quantization
-error, bit-exact bundle equality, and the forward-only evaluation loss."""
+error, bit-exact bundle equality, the forward-only evaluation loss, and the
+`ndarray.mean`/`var`/`max`/`sum` forms of layernorm and softmax."""
 
 import numpy as np
 
 from ealm.quant import dequantize, quantize
 from ealm.tensors import QuantizedTensor
-from ealm.tinylm import _nll
+from ealm.tinylm import LN_EPS, _nll
 
 
 def quant_error(arr, spec) -> dict:
@@ -49,3 +50,29 @@ def evaluation_loss(model, sequences, adapters=None) -> float:
         total += _nll(model.forward_cached(seq, adapters)[0], seq)[0]
         n_pred += len(seq) - 1
     return total / max(n_pred, 1)
+
+
+def layernorm(x, g, b):
+    """Layer norm through `ndarray.mean` and `ndarray.var`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def layernorm_backward(dy, cache):
+    """dL/dx of `layernorm` through `ndarray.mean`."""
+    xhat, inv, g = cache
+    dxhat = dy * g
+    return inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+def softmax(x):
+    """Softmax over the last axis through `ndarray.max` and `ndarray.sum`."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

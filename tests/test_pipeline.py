@@ -487,6 +487,15 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     pytest.param({"lr": 0.0}, None, id="lr-0"),
     pytest.param({"lr": float("nan")}, None, id="lr-nan"),
     pytest.param({"lr": float("inf")}, None, id="lr-inf"),
+    pytest.param({"lr": True}, None, id="lr-bool"),
+    pytest.param({"w": True}, None, id="w-bool"),
+    pytest.param({"w": "0.5"}, None, id="w-string"),
+    pytest.param({"lora_alpha": "x"}, None, id="lora-alpha-string"),
+    pytest.param({"lora_alpha": -1.0}, None, id="lora-alpha-negative"),
+    pytest.param({"lora_alpha": 0.0}, None, id="lora-alpha-0"),
+    pytest.param({"lora_alpha": float("nan")}, None, id="lora-alpha-nan"),
+    pytest.param({"lora_alpha": float("inf")}, None, id="lora-alpha-inf"),
+    pytest.param({"lora_alpha": True}, None, id="lora-alpha-bool"),
     pytest.param({"bits_grid": [32, 32]}, None, id="repeated-bits"),
     pytest.param({"epochs_grid": [1, 1]}, None, id="repeated-epochs"),
     pytest.param({"prune_ratios": [0.5, 0.5]}, None, id="repeated-ratio"),

@@ -22,6 +22,7 @@ from ealm.tinylm import (
     train_epoch,
 )
 
+import oracles
 from oracles import bundles_equal, evaluation_loss
 
 CFG = LmConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=64, init_seed=1)
@@ -229,17 +230,63 @@ def trained_setup(bundle=None):
     return model, adapters, seqs
 
 
-def test_kv_cache_chunks_match_full_forward():
-    model, adapters, seqs = trained_setup()
+def test_kv_cache_chunks_match_full_forward(monkeypatch):
+    model, trained, seqs = trained_setup()
     seq = seqs[0]
-    full = model.forward_cached(seq, adapters)[0]
     n_prompt = seq.index(SEP_BYTE) + 1
     bounds = [0, n_prompt, n_prompt + 1, n_prompt + 2, n_prompt + 5]
-    kv = KvCache()
-    for lo, hi in zip(bounds, bounds[1:]):
-        logits, _ = model.forward_cached(seq[lo:hi], adapters, kv)
-        assert kv.length == hi
-        np.testing.assert_allclose(logits, full[lo:hi], rtol=1e-5, atol=1e-6)
+    steps_at = (1, n_prompt, len(seq) - 1)
+
+    def step(adapters, n):
+        kv = KvCache()
+        model.forward_cached(seq[:n], adapters, kv)
+        return model.forward_cached(seq[n:n + 1], adapters, kv)[0]
+
+    steps = {}
+    for adapters in (trained, None):
+        full = model.forward_cached(seq, adapters)[0]
+        kv = KvCache()
+        for lo, hi in zip(bounds, bounds[1:]):
+            logits, _ = model.forward_cached(seq[lo:hi], adapters, kv)
+            assert kv.length == hi
+            np.testing.assert_allclose(logits, full[lo:hi], rtol=1e-5, atol=1e-6)
+        for n in steps_at:
+            steps[adapters is None, n] = step(adapters, n)
+            np.testing.assert_allclose(steps[adapters is None, n], full[n:n + 1],
+                                       rtol=1e-5, atol=1e-6)
+
+    # A one-token step adds no causal mask. Its logits must keep every bit of
+    # the step that adds the (all-zero) mask and uses the ndarray-method
+    # layernorm and softmax. (They match the full forward's row only to
+    # rounding: the attention scores of one row and of T rows differ in the
+    # last bits.)
+    def masked_softmax(scores):
+        T, S = scores.shape[-2:]
+        return oracles.softmax(scores + np.triu(np.full((T, S), -1e9, dtype=np.float32),
+                                                k=S - T + 1))
+
+    monkeypatch.setattr(tinylm, "_softmax", masked_softmax)
+    monkeypatch.setattr(tinylm, "_layernorm", oracles.layernorm)
+    for adapters in (trained, None):
+        for n in steps_at:
+            assert np.array_equal(steps[adapters is None, n], step(adapters, n))
+
+
+@pytest.mark.parametrize("shape", [(1, 32), (17, 32), (9, 128), (2, 5, 7)])
+def test_layernorm_and_softmax_keep_the_ndarray_method_bits(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-3, 1.0, 50.0):
+        x = (rng.standard_normal(shape) * scale + rng.uniform(-3, 3)).astype(np.float32)
+        g = rng.standard_normal(shape[-1]).astype(np.float32)
+        b = rng.standard_normal(shape[-1]).astype(np.float32)
+        dy = rng.standard_normal(shape).astype(np.float32)
+        y, cache = tinylm._layernorm(x, g, b)
+        y_ref, cache_ref = oracles.layernorm(x, g, b)
+        assert np.array_equal(y, y_ref)
+        assert all(np.array_equal(c, c_ref) for c, c_ref in zip(cache, cache_ref))
+        assert np.array_equal(tinylm._layernorm_backward(dy, cache),
+                              oracles.layernorm_backward(dy, cache_ref))
+        assert np.array_equal(tinylm._softmax(x * 10), oracles.softmax(x * 10))
 
 
 def test_kv_cache_rejects_overflow_and_keeps_its_state():
