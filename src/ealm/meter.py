@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -144,6 +145,17 @@ class Meter:
                 "powercap source needs powercap_paths; "
                 "fall back to the constant-power source"
             )
+        # A source that can only report 0 J or less would fail the run at
+        # ranking, after every span. Powercap counters cannot be checked up front.
+        if config.source == "constant-power":
+            watts = config.constant_watts
+            if not isinstance(watts, dict) or not all(
+                    isinstance(w, (int, float)) and not isinstance(w, bool)
+                    and math.isfinite(w) and w >= 0 for w in watts.values()):
+                raise MeterError(f"constant_watts must map domains to finite watts >= 0, "
+                                 f"got {watts!r}")
+            if not sum(watts.values()) > 0:
+                raise MeterError(f"constant_watts must sum to more than 0 W, got {watts!r}")
         if config.source == "trace-replay":
             if not config.trace_path:
                 raise MeterError("trace-replay source needs trace_path")
@@ -152,6 +164,10 @@ class Meter:
             except (OSError, ValueError) as e:
                 raise MeterError(f"cannot read trace {config.trace_path}: {e}") from e
             self._trace_joules = integrate(samples)
+            total = sum(self._trace_joules.values())
+            if not (math.isfinite(total) and total > 0):
+                raise MeterError(f"trace {config.trace_path} integrates to {total} J, "
+                                 "not a finite energy above 0")
 
     def start_span(self) -> tuple:
         if self._active is not None:

@@ -192,8 +192,18 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                       train_records, eval_records):
     """Loop 1: (bits x epochs) grid of LoRA fine-tunes over quantized bases.
 
-    Returns (records, artifacts) where artifacts[id] holds the trained bundle,
-    which carries the candidate's lineage, and its adapters.
+    Each bit width runs one fine-tune: it quantizes the base once and trains
+    one set of adapters for max(epochs_grid) epochs, each epoch in its own
+    span. After each epoch N in epochs_grid the adapters of that moment are
+    evaluated in their own span as candidate `ft-bX-eN`. A candidate is
+    charged every epoch its adapters went through plus its own evaluation,
+    so loop-1 candidates share epochs and their joules add up to more than
+    the run spent. A quantization error fails all of a width's candidates, a
+    training error at epoch j those with N >= j, and an evaluation error only
+    its own candidate.
+
+    Returns (records, artifacts) in grid order, where artifacts[id] holds the
+    trained bundle, which carries the candidate's lineage, and its adapters.
     """
     lm_cfg = config.lm_config()
     base32 = tinylm.init_model(lm_cfg)
@@ -201,41 +211,48 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     records: list[CandidateRecord] = []
     artifacts: dict[str, dict] = {}
     for bits in config.bits_grid:
-        for epochs in config.epochs_grid:
-            cid = f"ft-b{bits}-e{epochs}"
-            lineage = Lineage(precision_bits=bits, epochs_trained=epochs)
-            try:
-                bundle = quant_mod.quantize_bundle(base32, quant_mod.QuantSpec(bits))
-                adapters = tinylm.init_adapters(
-                    lm_cfg, rank=config.lora_rank, alpha=config.lora_alpha,
-                    seed=config.seed,
+        lineages = {n: Lineage(precision_bits=bits, epochs_trained=n) for n in config.epochs_grid}
+        done: dict[int, CandidateRecord] = {}
+        try:
+            bundle = quant_mod.quantize_bundle(base32, quant_mod.QuantSpec(bits))
+            adapters = tinylm.init_adapters(
+                lm_cfg, rank=config.lora_rank, alpha=config.lora_alpha, seed=config.seed,
+            )
+            model = tinylm.TinyLm(bundle)
+            train_recs = []
+            for epoch in range(1, max(config.epochs_grid) + 1):
+                (adapters, loss), energy = meter.measure(
+                    tinylm.train_epoch, model, adapters, sequences, config.lr
                 )
-                model = tinylm.TinyLm(bundle)
-                train_recs = []
-                for e in range(1, epochs + 1):
-                    (adapters, loss), energy = meter.measure(
-                        tinylm.train_epoch, model, adapters, sequences, config.lr
+                train_recs.append(TrainRecord(epoch, loss, energy))
+                if epoch not in lineages:
+                    continue
+                cid, lineage = f"ft-b{bits}-e{epoch}", lineages[epoch]
+                try:
+                    scores, eval_energy = evaluate_model(
+                        model, adapters, eval_records, meter, config.max_new_tokens
                     )
-                    train_recs.append(TrainRecord(e, loss, energy))
-                scores, eval_energy = evaluate_model(
-                    model, adapters, eval_records, meter, config.max_new_tokens
-                )
+                except CANDIDATE_ERRORS as e:
+                    done[epoch] = _failed(cid, lineage, "finetune", e)
+                    continue
                 total = combine_reports([tr.energy for tr in train_recs] + [eval_energy])
-                rec = CandidateRecord(
+                done[epoch] = CandidateRecord(
                     id=cid,
                     lineage=lineage,
                     scores=scores,
                     energy=total,
                     stage="finetune",
-                    train_records=train_recs,
+                    train_records=list(train_recs),
                     extra={"payload_bytes": payload_bytes(bundle),
                            "eval_energy": eval_energy.to_dict()},
                 )
+                # train_epoch returns new adapters, so these stay epoch N's
                 artifacts[cid] = {"bundle": dataclasses.replace(bundle, lineage=lineage),
                                   "adapters": adapters}
-            except CANDIDATE_ERRORS as e:
-                rec = _failed(cid, lineage, "finetune", e)
-            records.append(rec)
+        except CANDIDATE_ERRORS as e:  # fails each candidate not yet reached
+            for n, lineage in lineages.items():
+                done.setdefault(n, _failed(f"ft-b{bits}-e{n}", lineage, "finetune", e))
+        records += [done[n] for n in config.epochs_grid]
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         raise StageError("finetune-grid: every candidate failed")

@@ -1,10 +1,13 @@
 """Reference helpers the tests compare the package against: quantization
-error, bit-exact bundle equality, the forward-only evaluation loss, and the
-`ndarray.mean`/`var`/`max`/`sum` forms of layernorm and softmax."""
+error, bit-exact bundle equality, the forward-only evaluation loss, the
+`ndarray.mean`/`var`/`max`/`sum` forms of layernorm and softmax, and one
+loop-1 cell fine-tuned on its own."""
 
 import numpy as np
 
-from ealm.quant import dequantize, quantize
+from ealm import tinylm
+from ealm.pipeline import _decode_all
+from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
 from ealm.tensors import QuantizedTensor
 from ealm.tinylm import LN_EPS, _nll
 
@@ -76,3 +79,21 @@ def softmax(x):
     """Softmax over the last axis through `ndarray.max` and `ndarray.sum`."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def finetune_alone(config, bits, epochs, train_records, eval_records):
+    """Loop-1 cell `ft-b{bits}-e{epochs}` as its own run: a freshly quantized
+    base and fresh adapters trained for `epochs` epochs, then greedy decoding
+    of the eval set. Returns (adapters, per-epoch losses, (text, reference)
+    pairs, generated token count)."""
+    lm_cfg = config.lm_config()
+    model = tinylm.TinyLm(quantize_bundle(tinylm.init_model(lm_cfg), QuantSpec(bits)))
+    adapters = tinylm.init_adapters(lm_cfg, rank=config.lora_rank, alpha=config.lora_alpha,
+                                    seed=config.seed)
+    sequences = [tinylm.encode_example(r.prompt, r.reference) for r in train_records]
+    losses = []
+    for _ in range(epochs):
+        adapters, loss = tinylm.train_epoch(model, adapters, sequences, config.lr)
+        losses.append(loss)
+    pairs, n_generated = _decode_all(model, adapters, eval_records, config.max_new_tokens)
+    return adapters, losses, pairs, n_generated

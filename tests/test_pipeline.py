@@ -15,9 +15,10 @@ from ealm import pipeline as pl
 from ealm import prune as prune_mod
 from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save_jsonl
 from ealm.meter import Meter
-from ealm.metrics import MetricScores
+from ealm.metrics import MetricError, MetricScores, score_outputs
 from ealm.rank import select_top_k
 from ealm.tensors import WEIGHT_MATRICES, BundleError, Lineage, load_bundle, save_bundle
+from oracles import finetune_alone
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -168,7 +169,7 @@ def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypa
     for rec in loop1:
         assert rec.lineage.sparsity is None
         assert load_bundle(out / "artifacts" / f"{rec.id}.ealm").lineage == rec.lineage
-    # one model per loop-1 cell, then one per loop-2 variant, in record order
+    # one model per loop-1 bit width, then one per loop-2 variant, in record order
     assert len(evaluated) == len(loop1) + len(loop2)
     assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1):]
     # the pipeline records what it pruned: each parent's variants in grid order
@@ -326,6 +327,103 @@ def test_divergence_fails_only_its_candidate(tmp_path, monkeypatch):
     assert {c["lineage"]["parent_id"] for c in loop2} == {"ft-b32-e1"}
 
 
+def test_each_epoch_candidate_matches_its_own_fine_tune(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, epochs_grid=[1, 3])
+    train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    decoded = []
+    real = pl._decode_all
+
+    def remember(*args):
+        out = real(*args)
+        decoded.append(out[0])
+        return out
+
+    monkeypatch.setattr(pl, "_decode_all", remember)
+    records, artifacts = pl.run_finetune_grid(cfg, pl.build_meter(cfg), train, evals)
+    assert [r.id for r in records] == ["ft-b4-e1", "ft-b4-e3", "ft-b32-e1", "ft-b32-e3"]
+    for rec, pairs in zip(records, decoded, strict=True):
+        bits, epochs = rec.lineage.precision_bits, rec.lineage.epochs_trained
+        adapters, losses, want_pairs, n_generated = finetune_alone(cfg, bits, epochs, train,
+                                                                   evals)
+        got = artifacts[rec.id]["adapters"]
+        for name in adapters.a:
+            assert got.a[name].tobytes() == adapters.a[name].tobytes(), (rec.id, name)
+            assert got.b[name].tobytes() == adapters.b[name].tobytes(), (rec.id, name)
+        assert [tr.epoch for tr in rec.train_records] == list(range(1, epochs + 1))
+        assert [tr.loss for tr in rec.train_records] == losses
+        assert all(tr.energy is not None for tr in rec.train_records)
+        assert pairs == want_pairs
+        want = score_outputs(want_pairs, n_generated, 1.0)
+        for f in MetricScores.QUALITY_FIELDS:
+            assert getattr(rec.scores, f) == getattr(want, f), (rec.id, f)
+
+
+@pytest.mark.parametrize("where, failed", [
+    pytest.param("train", {"ft-b4-e3": "DivergenceError: injected"}, id="epoch-2"),
+    pytest.param("eval", {"ft-b4-e1": "MetricError: injected"}, id="eval-e1"),
+])
+def test_loop1_error_fails_only_the_candidates_it_reaches(tmp_path, monkeypatch, where,
+                                                          failed):
+    cfg, _ = write_trace_config(tmp_path)
+    cfg = dataclasses.replace(cfg, epochs_grid=[1, 3])
+    train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    clean, _ = pl.run_finetune_grid(cfg, pl.build_meter(cfg), train, evals)
+    # width 4 trains first: its second epoch is the second train_epoch call,
+    # and its 1-epoch candidate is the first one scored
+    module, name, exc, at = ((tinylm, "train_epoch", tinylm.DivergenceError, 2)
+                             if where == "train" else (pl, "score_outputs", MetricError, 1))
+    real, calls = getattr(module, name), []
+
+    def inject(*args):
+        calls.append(1)
+        if len(calls) == at:
+            raise exc("injected")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, inject)
+    records, artifacts = pl.run_finetune_grid(cfg, pl.build_meter(cfg), train, evals)
+    assert {r.id: r.error for r in records if r.status == "failed"} == failed
+    assert set(artifacts) == {r.id for r in records if r.status == "ok"}
+    for rec, want in zip(records, clean, strict=True):
+        if rec.id not in failed:
+            assert scrub_volatile(rec.to_dict()) == scrub_volatile(want.to_dict()), rec.id
+
+
+def test_epochs_grid_order_and_one_fine_tune_per_width(tmp_path, monkeypatch):
+    cfg, _ = write_trace_config(tmp_path)
+    train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    sorted_cfg = dataclasses.replace(cfg, epochs_grid=[1, 3])
+    by_id = {r.id: r for r in pl.run_finetune_grid(sorted_cfg, pl.build_meter(cfg), train,
+                                                   evals)[0]}
+    counts = {"quantize_bundle": [], "TinyLm": 0, "train_epoch": 0}
+    real_quantize, real_init, real_train = (pl.quant_mod.quantize_bundle,
+                                            tinylm.TinyLm.__init__, tinylm.train_epoch)
+
+    def quantize_bundle(bundle, spec):
+        counts["quantize_bundle"].append(spec.bits)
+        return real_quantize(bundle, spec)
+
+    def init(self, bundle):
+        counts["TinyLm"] += 1
+        real_init(self, bundle)
+
+    def train_epoch(*args):
+        counts["train_epoch"] += 1
+        return real_train(*args)
+
+    monkeypatch.setattr(pl.quant_mod, "quantize_bundle", quantize_bundle)
+    monkeypatch.setattr(tinylm.TinyLm, "__init__", init)
+    monkeypatch.setattr(tinylm, "train_epoch", train_epoch)
+    cfg = dataclasses.replace(cfg, epochs_grid=[3, 1])
+    records, _ = pl.run_finetune_grid(cfg, pl.build_meter(cfg), train, evals)
+    assert [r.id for r in records] == ["ft-b4-e3", "ft-b4-e1", "ft-b32-e3", "ft-b32-e1"]
+    assert counts == {"quantize_bundle": cfg.bits_grid, "TinyLm": len(cfg.bits_grid),
+                      "train_epoch": len(cfg.bits_grid) * max(cfg.epochs_grid)}
+    assert [r.id for r in records if r.baseline] == ["ft-b32-e3"]
+    for rec in records:
+        assert scrub_volatile(rec.to_dict()) == scrub_volatile(by_id[rec.id].to_dict())
+
+
 def test_prune_error_fails_only_its_variant(tmp_path, monkeypatch):
     original = pl.prune_mod.prune_bundle
 
@@ -473,6 +571,12 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     pytest.param({"meter": {"source": "trace-replay"}}, None, id="trace-without-path"),
     pytest.param({}, "bogus", id="meter-spec"),
     pytest.param({}, "trace:{tmp}/nonexistent.csv", id="trace-spec-missing-file"),
+    # a meter that can only report 0 J or less would fail the run at ranking
+    pytest.param({}, "trace:{tmp}/one-sample.csv", id="trace-one-sample"),
+    pytest.param({"meter": {"constant_watts": {"cpu": 0.0, "ram": 0.0}}}, None,
+                 id="constant-watts-0"),
+    pytest.param({"meter": {"constant_watts": {"cpu": 15.0, "ram": -3.0}}}, None,
+                 id="constant-watts-negative"),
     pytest.param({"n_heads": 3, "d_model": 8}, None, id="heads-do-not-divide"),
     pytest.param({"d_ff": 0}, None, id="d-ff-0"),
     pytest.param({"meter": {"source": "powercap"}}, None, id="powercap-without-paths"),
@@ -517,6 +621,7 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     pytest.param({"nm_patterns": [[2.0, 4]]}, None, id="nm-float"),
 ])
 def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, meter_spec):
+    (tmp_path / "one-sample.csv").write_text("0.0,cpu,10.0\n")
     cfg_path = tmp_path / "cfg.json"
     if overrides is not None:
         cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), **overrides}))
