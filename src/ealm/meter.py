@@ -268,7 +268,7 @@ def report_from_dict(d: dict) -> EnergyReport:
     return EnergyReport(
         joules=dict(d["joules"]),
         duration_s=d["duration_s"],
-        carbon_intensity=d.get("carbon_intensity", DEFAULT_CARBON_INTENSITY),
+        carbon_intensity=d["carbon_intensity"],
     )
 
 

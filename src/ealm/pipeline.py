@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +29,8 @@ from .meter import (
 )
 from .metrics import MetricError, MetricScores, score_outputs
 from .rank import CandidateRecord, TrainRecord
-from .tensors import (BundleError, Lineage, LmConfig, is_int, load_bundle, payload_bytes,
-                      save_bundle, write_atomic)
+from .tensors import (BundleError, BundleFormatError, Lineage, LmConfig, is_int, load_bundle,
+                      payload_bytes, read_tensors, save_bundle, write_atomic, write_tensors)
 
 import numpy as np
 
@@ -428,8 +426,8 @@ def emit_report(records: list[CandidateRecord], baseline: CandidateRecord,
               "| candidate | epoch | loss | joules |", "|---|---|---|---|"]
     for rec in records:
         for tr in rec.train_records:
-            j = tr.energy.total_joules if tr.energy else 0.0
-            lines.append(f"| {rec.id} | {tr.epoch} | {tr.loss:.4f} | {j:.3f} |")
+            lines.append(f"| {rec.id} | {tr.epoch} | {tr.loss:.4f} "
+                         f"| {tr.energy.total_joules:.3f} |")
     (out / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return payload
 
@@ -459,31 +457,51 @@ def load_candidates(path) -> list[CandidateRecord]:
 
 
 def save_artifacts(artifacts: dict, out_dir) -> None:
+    """Each candidate's bundle as artifacts/<id>.ealm and its adapters as
+    artifacts/<id>.adapters.ealm: tensors a:<matrix>, b:<matrix>."""
     adir = Path(out_dir) / "artifacts"
     adir.mkdir(parents=True, exist_ok=True)
     for cid, art in artifacts.items():
         save_bundle(art["bundle"], adir / f"{cid}.ealm")
         ad = art["adapters"]
-        arrays = {f"a:{n}": ad.a[n] for n in ad.a}
-        arrays.update({f"b:{n}": ad.b[n] for n in ad.b})
-        buf = io.BytesIO()  # np.savez appends ".npz" to a path, so write the bytes ourselves
-        np.savez(buf, rank=np.int64(ad.rank), alpha=np.float64(ad.alpha), **arrays)
-        write_atomic(adir / f"{cid}.adapters.npz", buf.getvalue())
+        factors = {f"{s}:{n}": t for s, ts in (("a", ad.a), ("b", ad.b)) for n, t in ts.items()}
+        write_tensors(adir / f"{cid}.adapters.ealm", factors, {"rank": ad.rank, "alpha": ad.alpha})
+
+
+def _adapters(tensors: dict, meta: dict, config: LmConfig) -> tinylm.LoraAdapters:
+    """The adapters of an .adapters.ealm file if they are what save_artifacts
+    writes for a model of `config`: an int rank, a float alpha, and for each
+    adapted (p, q) matrix one finite float32 A (p, rank) and B (rank, q) and
+    nothing else. Anything else is a BundleFormatError."""
+    rank, alpha = meta.get("rank"), meta.get("alpha")
+    if sorted(meta) != ["alpha", "rank"] or not (is_int(rank) and rank >= 1
+                                                 and type(alpha) is float):
+        raise BundleFormatError(f"adapter meta {meta} is not an int rank and a float alpha")
+    want = {f"{side}:{name}": (shape[0], rank) if side == "a" else (rank, shape[1])
+            for name, shape in config.tensor_shapes().items()
+            if quant_mod.default_target_filter(name) for side in "ab"}
+    bad = sorted(n for n, t in tensors.items() if not (
+        isinstance(t, np.ndarray) and t.dtype == np.float32 and t.shape == want.get(n)
+        and np.isfinite(t).all()))
+    if bad or len(tensors) != len(want):
+        raise BundleFormatError(f"adapters missing {sorted(set(want) - set(tensors))}, unknown "
+                                f"or not a finite float32 of the right shape {bad}")
+    a, b = ({n[2:]: t for n, t in tensors.items() if n[0] == side} for side in "ab")
+    return tinylm.LoraAdapters(rank, alpha, a, b)
 
 
 def load_artifacts(ids: list[str], out_dir) -> dict:
+    """Each id's bundle and adapters as save_artifacts wrote them; a file that
+    is missing, damaged or does not match its bundle is a StageError."""
     adir = Path(out_dir) / "artifacts"
     artifacts = {}
     for cid in ids:
         path = adir / f"{cid}.ealm"
         try:
             bundle = load_bundle(path)
-            path = adir / f"{cid}.adapters.npz"
-            with np.load(path) as z:
-                a = {k[2:]: z[k] for k in z.files if k.startswith("a:")}
-                b = {k[2:]: z[k] for k in z.files if k.startswith("b:")}
-                adapters = tinylm.LoraAdapters(int(z["rank"]), float(z["alpha"]), a, b)
-        except (OSError, BundleError, zipfile.BadZipFile, KeyError) as e:
+            path = adir / f"{cid}.adapters.ealm"
+            adapters = _adapters(*read_tensors(path), bundle.config)
+        except (OSError, BundleError) as e:
             raise _unreadable(path, e) from e
         artifacts[cid] = {"bundle": bundle, "adapters": adapters}
     return artifacts

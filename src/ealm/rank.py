@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .meter import EnergyReport, report_from_dict
 from .metrics import MetricScores
-from .tensors import Lineage
+from .tensors import Lineage, from_fields
 
 
 class RankError(Exception):
@@ -22,7 +22,7 @@ class RankError(Exception):
 class TrainRecord:
     epoch: int
     loss: float
-    energy: EnergyReport | None = None
+    energy: EnergyReport
 
 
 @dataclass
@@ -58,7 +58,7 @@ class CandidateRecord:
                 {
                     "epoch": tr.epoch,
                     "loss": tr.loss,
-                    "energy": tr.energy.to_dict() if tr.energy else None,
+                    "energy": tr.energy.to_dict(),
                 }
                 for tr in self.train_records
             ],
@@ -67,20 +67,18 @@ class CandidateRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateRecord":
-        def energy(obj):
-            return report_from_dict(obj["energy"]) if obj.get("energy") else None
-
-        return cls(
-            id=d["id"], lineage=Lineage.from_dict(d["lineage"]),
-            scores=MetricScores(**d["scores"]) if d.get("scores") else None,
-            energy=energy(d),
-            phi=d.get("phi", 0.0), rho=d.get("rho", 0.0), r_score=d.get("R", 0.0),
-            baseline=d.get("baseline", False), stage=d.get("stage", "finetune"),
-            status=d.get("status", "ok"), error=d.get("error"),
-            train_records=[TrainRecord(epoch=tr["epoch"], loss=tr["loss"], energy=energy(tr))
-                           for tr in d.get("train_records", [])],
-            extra=d.get("extra", {}),
-        )
+        rec = cls(
+            id=d["id"], lineage=from_fields(Lineage, d["lineage"]),
+            scores=from_fields(MetricScores, d["scores"]) if d["scores"] is not None else None,
+            energy=report_from_dict(d["energy"]) if d["energy"] is not None else None,
+            phi=d["phi"], rho=d["rho"], r_score=d["R"],
+            baseline=d["baseline"], stage=d["stage"], status=d["status"], error=d["error"],
+            train_records=[TrainRecord(tr["epoch"], tr["loss"], report_from_dict(tr["energy"]))
+                           for tr in d["train_records"]],
+            extra=d["extra"])
+        if rec.status == "ok" and (rec.scores is None or rec.energy is None):
+            raise KeyError(f"record {rec.id!r} is ok but has no scores or energy")
+        return rec
 
 
 def performance_score(scores: MetricScores) -> float:

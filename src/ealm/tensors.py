@@ -1,8 +1,10 @@
-"""Dense/quantized tensor containers, the bundle file format, size accounting.
+"""Dense/quantized tensors, the EALM container file, bundles, size accounting.
 
 A plain ``numpy.ndarray`` (float32 or float16) is the dense tensor type;
-:class:`QuantizedTensor` carries symmetric integer codes plus scales. Bundles
-are immutable by convention: every pipeline step returns a new bundle.
+:class:`QuantizedTensor` carries symmetric integer codes plus scales. An EALM
+file (`write_tensors`/`read_tensors`) holds named tensors and a JSON meta
+dict; a bundle file is one whose meta is the model's config and lineage.
+Bundles are immutable by convention: every pipeline step returns a new bundle.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def from_fields(cls, d: dict):
+    """`cls(**d)` if `d` holds exactly the dataclass's fields, else a KeyError:
+    a file carries every key its writer writes, so a missing one is damage."""
+    want = sorted(f.name for f in dataclasses.fields(cls))
+    if not isinstance(d, dict) or sorted(d) != want:
+        raise KeyError(f"{cls.__name__} wants keys {want}, got {d!r}")
+    return cls(**d)
+
+
 @dataclass(frozen=True)
 class LmConfig:
     """Architecture metadata for the tiny decoder-only LM."""
@@ -94,15 +105,11 @@ class LmConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LmConfig":
-        return cls(**d)
-
 
 @dataclass
 class QuantizedTensor:
     """Symmetric integer codes with one float32 scale per row (one scale for a
-    1-D tensor; files written with a single per-tensor scale also load).
+    1-D tensor).
 
     ``codes`` is kept unpacked (one int8 per element) in memory; 4-bit codes
     are nibble-packed only on disk.
@@ -111,7 +118,7 @@ class QuantizedTensor:
     shape: tuple[int, ...]
     bits: int  # 4 or 8
     codes: np.ndarray  # int8, shape == self.shape
-    scales: np.ndarray  # float32, (rows,) or (1,)
+    scales: np.ndarray  # float32, (rows,) for a matrix, else (1,)
 
     @property
     def size(self) -> int:
@@ -128,10 +135,6 @@ class Lineage:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Lineage":
-        return cls(**d)
 
 
 @dataclass
@@ -151,114 +154,80 @@ class ModelBundle:
                 raise BundleError(
                     f"tensor {name!r}: shape {shape} != expected {required[name]}"
                 )
-            rows = shape[0] if shape else 1
-            if isinstance(t, QuantizedTensor) and t.scales.size not in (1, rows):
+            rows = shape[0] if len(shape) > 1 else 1
+            if isinstance(t, QuantizedTensor) and t.scales.size != rows:
                 raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {rows} rows")
             if isinstance(t, np.ndarray) and not np.all(np.isfinite(t.astype(np.float32))):
                 raise BundleError(f"tensor {name!r} has non-finite values")
 
 
-def _tensor_dtype_code(t) -> int:
-    if isinstance(t, QuantizedTensor):
-        return DTYPE_I8 if t.bits == 8 else DTYPE_I4
-    if t.dtype == np.float16:
-        return DTYPE_F16
-    if t.dtype == np.float32:
-        return DTYPE_F32
-    raise BundleError(f"unsupported tensor dtype {t.dtype}")
-
-
 def tensor_payload_bytes(t) -> int:
     """Stored payload size of one tensor: codes/values plus scale bytes."""
     if isinstance(t, QuantizedTensor):
-        scale_bytes = 4 * t.scales.size
-        if t.bits == 8:
-            return t.size + scale_bytes
-        return math.ceil(t.size / 2) + scale_bytes
-    if t.dtype == np.float16:
-        return 2 * t.size
-    return 4 * t.size
+        return (t.size * t.bits + 7) // 8 + 4 * t.scales.size
+    return t.size * t.dtype.itemsize
 
 
 def payload_bytes(bundle: ModelBundle) -> int:
     return sum(tensor_payload_bytes(t) for t in bundle.tensors.values())
 
 
-def _encode_payload(t) -> bytes:
+def _encode(t) -> tuple[int, bytes]:
+    """A tensor's dtype code and payload."""
     if isinstance(t, QuantizedTensor):
-        # granularity byte: 1 for a matrix (a scale per row), 0 for a 1-D tensor
-        head = struct.pack(
-            "<BI", int(len(t.shape) > 1), t.scales.size
-        ) + t.scales.astype("<f4").tobytes()
-        flat = t.codes.reshape(-1)
-        if t.bits == 8:
-            return head + flat.astype(np.int8).tobytes()
-        return head + pack_nibbles(flat.astype(np.int8)).tobytes()
+        codes = t.codes.reshape(-1).astype(np.int8)
+        body = codes if t.bits == 8 else pack_nibbles(codes)
+        # granularity byte: 1 for a matrix (a scale per row), 0 for any other tensor
+        head = struct.pack("<BI", len(t.shape) > 1, t.scales.size)
+        return (DTYPE_I8 if t.bits == 8 else DTYPE_I4,
+                head + t.scales.astype("<f4").tobytes() + body.tobytes())
     if t.dtype == np.float16:
-        return t.astype("<f2").tobytes()
-    return t.astype("<f4").tobytes()
+        return DTYPE_F16, t.astype("<f2").tobytes()
+    if t.dtype == np.float32:
+        return DTYPE_F32, t.astype("<f4").tobytes()
+    raise BundleError(f"unsupported tensor dtype {t.dtype}")
 
 
-def _decode_payload(name: str, dtype_code: int, dims: tuple[int, ...], payload: bytes):
-    n = int(np.prod(dims)) if dims else 1
+def _decode(context: str, dtype_code: int, dims: tuple[int, ...], payload: bytes):
+    """A tensor exactly as `_encode` writes it, else a BundleCorruptionError."""
+    n = math.prod(dims)
     try:
-        if dtype_code == DTYPE_F32:
-            if len(payload) != 4 * n:
+        if dtype_code in (DTYPE_F32, DTYPE_F16):
+            dtype = np.dtype("<f4" if dtype_code == DTYPE_F32 else "<f2")
+            if len(payload) != dtype.itemsize * n:
                 raise ValueError
-            return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        if dtype_code == DTYPE_F16:
-            if len(payload) != 2 * n:
-                raise ValueError
-            return np.frombuffer(payload, dtype="<f2").reshape(dims).copy()
-        gran, n_scales = struct.unpack_from("<BI", payload, 0)
-        if gran not in (0, 1):  # 0: one scale for the tensor, 1: one per row
+            return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        if dtype_code not in (DTYPE_I8, DTYPE_I4):
             raise ValueError
-        off = 5
-        scales = np.frombuffer(payload, dtype="<f4", count=n_scales, offset=off).copy()
-        off += 4 * n_scales
-        body = payload[off:]
-        if dtype_code == DTYPE_I8:
-            if len(body) != n:
-                raise ValueError
-            codes = np.frombuffer(body, dtype=np.int8).reshape(dims).copy()
-            bits = 8
-        elif dtype_code == DTYPE_I4:
-            if len(body) != math.ceil(n / 2):
-                raise ValueError
-            codes = unpack_nibbles(np.frombuffer(body, dtype=np.uint8), n).reshape(dims)
-            bits = 4
-        else:
-            raise BundleFormatError(f"unknown dtype code {dtype_code}")
+        bits = 8 if dtype_code == DTYPE_I8 else 4
+        gran, n_scales = struct.unpack_from("<BI", payload)
+        body = payload[5 + 4 * n_scales:]
+        matrix = len(dims) > 1
+        if (gran != matrix or n_scales != (dims[0] if matrix else 1)
+                or len(body) != (n * bits + 7) // 8):
+            raise ValueError
+        scales = np.frombuffer(payload, dtype="<f4", count=n_scales, offset=5).copy()
+        raw = np.frombuffer(body, dtype=np.int8 if bits == 8 else np.uint8)
+        codes = (raw.copy() if bits == 8 else unpack_nibbles(raw, n)).reshape(dims)
         return QuantizedTensor(shape=dims, bits=bits, codes=codes, scales=scales)
     except (ValueError, struct.error) as e:
-        raise BundleCorruptionError(f"tensor {name!r}: payload corrupt") from e
+        raise BundleCorruptionError(f"{context}: payload corrupt") from e
 
 
-def save_bundle(bundle: ModelBundle, path) -> None:
-    names = list(bundle.tensors)
-    if len(set(names)) != len(names):
-        raise BundleError("duplicate tensor names")
-    chunks = [MAGIC, struct.pack("<HI", VERSION, len(names))]
-    for name, t in bundle.tensors.items():
-        nb = name.encode("utf-8")
-        dims = tuple(t.shape)
-        payload = _encode_payload(t)
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<BB", _tensor_dtype_code(t), len(dims)))
-        chunks.append(struct.pack(f"<{len(dims)}Q", *dims) if dims else b"")
-        chunks.append(struct.pack("<Q", len(payload)))
-        chunks.append(payload)
-    meta = json.dumps(
-        {"config": bundle.config.to_dict(), "lineage": bundle.lineage.to_dict()},
-        sort_keys=True,
-    ).encode("utf-8")
-    chunks.append(struct.pack("<Q", len(meta)))
-    chunks.append(meta)
+def write_tensors(path, tensors: dict, meta: dict) -> None:
+    """Writes named tensors and a JSON-able `meta` dict as one EALM container
+    file, atomically; a failed write is a BundleError naming `path`."""
+    chunks = [MAGIC, struct.pack("<HI", VERSION, len(tensors))]
+    for name, t in tensors.items():
+        nb, dims, (code, payload) = name.encode("utf-8"), tuple(t.shape), _encode(t)
+        chunks += [struct.pack("<H", len(nb)), nb,
+                   struct.pack(f"<BB{len(dims)}Q", code, len(dims), *dims),
+                   struct.pack("<Q", len(payload)), payload]
+    text = json.dumps(meta, sort_keys=True).encode("utf-8")
     try:
-        write_atomic(path, b"".join(chunks))
+        write_atomic(path, b"".join(chunks + [struct.pack("<Q", len(text)), text]))
     except OSError as e:
-        raise BundleError(f"cannot write bundle to {path}: {e}") from e
+        raise BundleError(f"cannot write {path}: {e}") from e
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -289,7 +258,9 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def load_bundle(path) -> ModelBundle:
+def read_tensors(path) -> tuple[dict, dict]:
+    """An EALM container file's (tensors, meta dict). A file that is cut short
+    or does not decode is a BundleError naming it, and the tensor if in one."""
     with open(path, "rb") as f:
         data = f.read()
     rd = _Reader(data, str(path))
@@ -307,21 +278,33 @@ def load_bundle(path) -> ModelBundle:
             raise BundleCorruptionError(f"{path}: tensor name is not UTF-8") from e
         rd.context = f"{path} tensor {name!r}"
         dtype_code, rank = rd.unpack("<BB", "dtype/rank")
-        dims = tuple(rd.unpack(f"<{rank}Q", "dims")) if rank else ()
+        dims = rd.unpack(f"<{rank}Q", "dims")
         (plen,) = rd.unpack("<Q", "payload length")
         payload = rd.take(plen, "payload")
         if name in tensors:
             raise BundleFormatError(f"{path}: duplicate tensor {name!r}")
-        tensors[name] = _decode_payload(name, dtype_code, dims, payload)
+        tensors[name] = _decode(rd.context, dtype_code, dims, payload)
         rd.context = str(path)
     (mlen,) = rd.unpack("<Q", "metadata length")
     try:
         meta = json.loads(rd.take(mlen, "metadata").decode("utf-8"))
-        bundle = ModelBundle(
-            tensors=tensors,
-            config=LmConfig.from_dict(meta["config"]),
-            lineage=Lineage.from_dict(meta["lineage"]),
-        )
+    except ValueError as e:  # bad UTF-8 or JSON
+        raise BundleFormatError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
+    if not isinstance(meta, dict):
+        raise BundleFormatError(f"{path}: metadata is not a JSON object")
+    return tensors, meta
+
+
+def save_bundle(bundle: ModelBundle, path) -> None:
+    write_tensors(path, bundle.tensors,
+                  {"config": bundle.config.to_dict(), "lineage": bundle.lineage.to_dict()})
+
+
+def load_bundle(path) -> ModelBundle:
+    tensors, meta = read_tensors(path)
+    try:
+        bundle = ModelBundle(tensors, from_fields(LmConfig, meta["config"]),
+                             from_fields(Lineage, meta["lineage"]))
     except (ValueError, KeyError, TypeError) as e:
         raise BundleFormatError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
     try:

@@ -16,8 +16,10 @@ from ealm import prune as prune_mod
 from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save_jsonl
 from ealm.meter import Meter
 from ealm.metrics import MetricError, MetricScores, score_outputs
+from ealm.quant import QuantSpec, quantize_bundle
 from ealm.rank import select_top_k
-from ealm.tensors import WEIGHT_MATRICES, BundleError, Lineage, load_bundle, save_bundle
+from ealm.tensors import (WEIGHT_MATRICES, BundleError, Lineage, LmConfig, from_fields,
+                          load_bundle, read_tensors, save_bundle, write_tensors)
 from oracles import finetune_alone
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -119,7 +121,8 @@ def test_run_all_counts_and_reports(tmp_path):
     # artifacts saved for every loop-1 candidate
     for c in loop1:
         assert (out / "artifacts" / f"{c['id']}.ealm").exists()
-        assert (out / "artifacts" / f"{c['id']}.adapters.npz").exists()
+        assert (out / "artifacts" / f"{c['id']}.adapters.ealm").exists()
+    assert not list(out.rglob("*.npz"))
 
     # every stored R must be recomputable from phi, rho, and w
     with open(out / "report.csv", newline="") as f:
@@ -187,7 +190,7 @@ def test_readme_lineage_example_is_a_lineage():
     blocks = re.findall(r"```json\n(.*?)\n```", README.read_text(), re.S)
     example = json.loads(next(b for b in blocks if '"epochs_trained"' in b))
     assert list(example) == list(Lineage().to_dict())
-    assert Lineage.from_dict(example).to_dict() == example
+    assert from_fields(Lineage, example).to_dict() == example
     assert example["prune"] == prune_mod.PruneSpec("structured-nm", n=2, m=4).to_dict()
 
 
@@ -728,13 +731,17 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "candidates_loop1.json"),
     ("prune-grid", "topk.json"),
     ("prune-grid", "artifacts/{top}.ealm"),
-    ("prune-grid", "artifacts/{top}.adapters.npz"),
+    ("prune-grid", "artifacts/{top}.adapters.ealm"),
     ("rank", None),  # candidates_loop1.json is there but has no baseline
     ("prune-grid", None),
     ("report", "candidates_loop1.json"),
     ("report", None),
     # a record or a bundle whose lineage is not a Lineage
     ("rank", "lineage-key:candidates_loop1.json"),
+    # a record without a key its writer writes
+    ("rank", "drop-key:scores:candidates_loop1.json"),
+    ("rank", "drop-key:lineage.precision_bits:candidates_loop1.json"),
+    ("prune-grid", "drop-key:status:topk.json"),
     ("prune-grid", "lineage-key:artifacts/{top}.ealm"),
     # a bundle that decodes but lacks a tensor its config names
     ("prune-grid", "drop-tensor:artifacts/{top}.ealm"),
@@ -742,9 +749,12 @@ def ranked_state(tmp_path_factory):
     ("rank", "truncated:candidates_loop1.json"),
     ("prune-grid", "truncated:topk.json"),
     ("prune-grid", "truncated:artifacts/{top}.ealm"),
-    ("prune-grid", "truncated:artifacts/{top}.adapters.npz"),
-    # an adapters file without its rank
-    ("prune-grid", "npz-key:artifacts/{top}.adapters.npz"),
+    ("prune-grid", "truncated:artifacts/{top}.adapters.ealm"),
+    # an adapters file that decodes but does not match its bundle
+    ("prune-grid", "adapters-no-rank:artifacts/{top}.adapters.ealm"),
+    ("prune-grid", "adapters-wrong-rank:artifacts/{top}.adapters.ealm"),
+    ("prune-grid", "adapters-missing-layer:artifacts/{top}.adapters.ealm"),
+    ("prune-grid", "adapters-unknown-name:artifacts/{top}.adapters.ealm"),
     # a byte that is not UTF-8 in a record id or a tensor name
     ("rank", "non-utf8:candidates_loop1.json"),
     ("prune-grid", "non-utf8:topk.json"),
@@ -758,12 +768,27 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
         victim = out / missing.removeprefix("truncated:").format(top=top)
         data = victim.read_bytes()
         victim.write_bytes(data[: len(data) // 2])
-    elif missing and missing.startswith("npz-key:"):
-        victim = out / missing.removeprefix("npz-key:").format(top=top)
-        with np.load(victim) as z:
-            arrays = {k: z[k] for k in z.files if k != "rank"}
-        with open(victim, "wb") as f:
-            np.savez(f, **arrays)
+    elif missing and missing.startswith("drop-key:"):
+        _, key, name = missing.split(":")
+        victim = out / name
+        recs = json.loads(victim.read_text())
+        record, _, key = key.rpartition(".")
+        del (recs[0][record] if record else recs[0])[key]
+        victim.write_text(json.dumps(recs))
+    elif missing and missing.startswith("adapters-"):
+        damage, name = missing.split(":")
+        victim = out / name.format(top=top)
+        tensors, meta = read_tensors(victim)
+        a = "a:layers.0.attn.wq"
+        if damage == "adapters-no-rank":
+            del meta["rank"]
+        elif damage == "adapters-wrong-rank":
+            tensors[a] = np.concatenate([tensors[a], tensors[a][:, :1]], axis=1)
+        elif damage == "adapters-missing-layer":
+            del tensors["a:layers.0.mlp.w2"], tensors["b:layers.0.mlp.w2"]
+        else:
+            tensors["c:layers.0.attn.wq"] = tensors[a]
+        write_tensors(victim, tensors, meta)
     elif missing and missing.startswith("lineage-key:"):
         victim = out / missing.removeprefix("lineage-key:").format(top=top)
         if victim.suffix == ".ealm":  # the metadata JSON and its length end the file
@@ -803,6 +828,34 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
     assert victim.name in err
 
 
+def test_damaged_artifacts_load_or_raise_a_stage_error(tmp_path):
+    """Every cut and every flipped byte of a tiny bundle and of its adapters
+    file either loads or is a BundleError, which load_artifacts turns into a
+    StageError that names the file."""
+    cfg = LmConfig(d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, vocab_size=3)
+    bundle = quantize_bundle(tinylm.init_model(cfg), QuantSpec(4))
+    adapters = tinylm.init_adapters(cfg, rank=1)
+    pl.save_artifacts({"c": {"bundle": bundle, "adapters": adapters}}, tmp_path)
+    adir = tmp_path / "artifacts"
+    for path in (adir / "c.ealm", adir / "c.adapters.ealm"):
+        good = path.read_bytes()
+        damaged = [good[:n] for n in range(len(good))]
+        damaged += [good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:] for i in range(len(good))]
+        with open(path, "r+b") as f:  # rewritten in place: reopening costs more than loading
+            for data in damaged:
+                f.seek(0)
+                f.write(data)
+                f.truncate()
+                f.flush()
+                try:
+                    pl.load_artifacts(["c"], tmp_path)
+                except pl.StageError as e:
+                    assert isinstance(e.__cause__, BundleError), e
+                    assert path.name in str(e)
+        path.write_bytes(good)
+    pl.load_artifacts(["c"], tmp_path)
+
+
 def test_staged_writes_keep_previous_file_when_replace_fails(ranked_state, tmp_path,
                                                            monkeypatch):
     _, ranked_out, top = ranked_state
@@ -830,8 +883,8 @@ def test_staged_writes_keep_previous_file_when_replace_fails(ranked_state, tmp_p
     monkeypatch.setattr(os, "replace", fail_on(".ealm"))
     with pytest.raises(BundleError):
         pl.save_artifacts({top: {"bundle": other_bundle, "adapters": adapters}}, out)
-    monkeypatch.setattr(os, "replace", fail_on(".npz"))
-    with pytest.raises(OSError):  # the unchanged .ealm is rewritten first
+    monkeypatch.setattr(os, "replace", fail_on(".adapters.ealm"))
+    with pytest.raises(BundleError):  # the unchanged bundle is rewritten first
         pl.save_artifacts({top: {"bundle": bundle, "adapters": other_adapters}}, out)
     assert sorted(p for p in out.rglob("*") if p.is_file()) == files  # no temp file left
     assert {p: p.read_bytes() for p in files} == before

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
+from ealm.quant import QuantSpec, quantize, quantize_bundle
 from ealm.tensors import (
     BundleCorruptionError,
     BundleError,
@@ -12,8 +12,10 @@ from ealm.tensors import (
     QuantizedTensor,
     load_bundle,
     payload_bytes,
+    read_tensors,
     save_bundle,
     tensor_payload_bytes,
+    write_tensors,
 )
 from ealm.tinylm import init_model
 
@@ -54,28 +56,39 @@ def test_roundtrip_quantized(tmp_path):
         save_bundle(q, path)
         assert bundles_equal(q, load_bundle(path))
 
-    # A file written with one per-tensor scale (granularity byte 0) still
-    # loads, and dequantizes to code * scale; any other byte but 1 is corrupt.
+    # A matrix is written with granularity byte 1 and a scale per row. A file
+    # with one per-tensor scale under byte 0, or with any other byte, is
+    # corrupt and the error names the tensor.
     name = "layers.0.attn.wq"
     codes = (np.arange(64).reshape(8, 8) % 15 - 7).astype(np.int8)
     gran_at = 4 + 6 + 2 + len(name) + 2 + 2 * 8 + 8  # of the first tensor
     for bits in (4, 8):
         q = quantize_bundle(bundle, QuantSpec(bits))
-        q.tensors = {name: QuantizedTensor((8, 8), bits, codes, np.float32([0.25])),
-                     **{n: t for n, t in q.tensors.items() if n != name}}
         path = tmp_path / f"per-tensor{bits}.ealm"
-        save_bundle(q, path)
-        data = bytearray(path.read_bytes())
-        assert data[gran_at] == 1
-        data[gran_at] = 0
-        path.write_bytes(bytes(data))
-        loaded = load_bundle(path)
-        assert bundles_equal(q, loaded)
-        assert np.array_equal(dequantize(loaded.tensors[name]), codes * np.float32(0.25))
-    data[gran_at] = 2
-    path.write_bytes(bytes(data))
-    with pytest.raises(BundleCorruptionError, match=name):
-        load_bundle(path)
+        for scales in (q.tensors[name].scales, np.float32([0.25])):
+            q.tensors = {name: QuantizedTensor((8, 8), bits, codes, scales),
+                         **{n: t for n, t in q.tensors.items() if n != name}}
+            save_bundle(q, path)
+            data = bytearray(path.read_bytes())
+            assert data[gran_at] == 1
+            for gran in (0, 2):
+                data[gran_at] = gran
+                path.write_bytes(bytes(data))
+                with pytest.raises(BundleCorruptionError, match=name):
+                    load_bundle(path)
+
+
+def test_container_roundtrip_and_meta_object(tmp_path):
+    path = tmp_path / "c.ealm"
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    write_tensors(path, {"w": w, "h": w.astype(np.float16)}, {"rank": 1})
+    tensors, meta = read_tensors(path)
+    assert list(tensors) == ["w", "h"] and meta == {"rank": 1}
+    assert tensors["w"].tobytes() == w.tobytes() and tensors["h"].dtype == np.float16
+    write_tensors(path, {}, [1])  # the metadata must be a JSON object
+    with pytest.raises(BundleFormatError, match="not a JSON object") as e:
+        read_tensors(path)
+    assert str(path) in str(e.value)
 
 
 def test_empty_tensor_map(tmp_path):
@@ -119,13 +132,15 @@ def test_duplicate_names_rejected():
     with pytest.raises(BundleError):
         bundle.validate()
 
-    # scales must be one per row, or one for the whole tensor
+    # a matrix's scales must be one per row
     q = quantize_bundle(init_model(cfg), QuantSpec(8))
     t = q.tensors["layers.0.attn.wq"]
     q.validate()
-    q.tensors["layers.0.attn.wq"] = QuantizedTensor(t.shape, 8, t.codes, np.ones(3, np.float32))
-    with pytest.raises(BundleError, match="3 scales for 2 rows"):
-        q.validate()
+    for n in (1, 3):
+        q.tensors["layers.0.attn.wq"] = QuantizedTensor(t.shape, 8, t.codes,
+                                                        np.ones(n, np.float32))
+        with pytest.raises(BundleError, match=f"{n} scales for 2 rows"):
+            q.validate()
 
 
 def test_payload_bytes_examples():
