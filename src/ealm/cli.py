@@ -26,12 +26,12 @@ def _load_config(args) -> pl.PipelineConfig:
     """The config file (or defaults) with the command-line overrides applied;
     `PipelineConfig` validates both the same way."""
     cfg = pl.PipelineConfig.from_file(args.config) if args.config else pl.PipelineConfig()
-    overrides = {"out_dir": args.out, "seed": args.seed, "w": args.w, "k": args.k}
+    overrides = {"out_dir": args.out, **{f: getattr(args, f, None) for f in ("seed", "w", "k")}}
     return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_gen_data(args) -> int:
-    records = generate_synthetic_corpus(args.seed or 0, args.n, args.grammar_size)
+    records = generate_synthetic_corpus(args.seed, args.n, args.grammar_size)
     save_jsonl(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
@@ -77,21 +77,33 @@ def cmd_run_all(args) -> int:
     return EXIT_OK
 
 
+STAGE_FLAGS = {
+    "--config": {"help": "pipeline config file (JSON or YAML)"},
+    "--out": {"help": "output directory"},
+    "--seed": {"type": int, "help": "master seed override"},
+    "--w": {"type": float, "help": "ranking weight in [0, 1]"},
+    "--k": {"type": int, "help": "top-k selection size"},
+    "--meter": {"help": "powercap | constant | trace:<path>"},
+}
+
+# Each stage takes only the flags it reads: only loop 1 builds a model from
+# the seed, only rank selects k models, and only the stages that meter a
+# span take --meter.
+STAGES = [
+    ("finetune-grid", cmd_finetune_grid, ("--config", "--out", "--seed", "--w", "--meter")),
+    ("rank", cmd_rank, ("--config", "--out", "--w", "--k")),
+    ("prune-grid", cmd_prune_grid, ("--config", "--out", "--w", "--meter")),
+    ("report", cmd_report, ("--config", "--out", "--w")),
+    ("run-all", cmd_run_all, tuple(STAGE_FLAGS)),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ealm",
         description="Energy-aware quantize/fine-tune/prune pipeline for a tiny LM",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_meter):
-        p.add_argument("--config", help="pipeline config file (JSON or YAML)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--w", type=float, help="ranking weight in [0, 1]")
-        p.add_argument("--k", type=int, help="top-k selection size")
-        if with_meter:
-            p.add_argument("--meter", help="powercap | constant | trace:<path>")
 
     p = sub.add_parser("gen-data", help="generate a synthetic JSONL corpus")
     p.add_argument("--out", required=True)
@@ -104,14 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_stats)
 
-    # only the stages that meter a span take --meter
-    for name, fn, metered in [("finetune-grid", cmd_finetune_grid, True),
-                              ("rank", cmd_rank, False),
-                              ("prune-grid", cmd_prune_grid, True),
-                              ("report", cmd_report, False),
-                              ("run-all", cmd_run_all, True)]:
+    for name, fn, flags in STAGES:
         p = sub.add_parser(name)
-        common(p, metered)
+        for flag in flags:
+            p.add_argument(flag, **STAGE_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 

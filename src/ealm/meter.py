@@ -18,18 +18,18 @@ from pathlib import Path
 DOMAINS = ("cpu", "ram", "gpu")
 JOULES_PER_KWH = 3.6e6
 DEFAULT_CARBON_INTENSITY = 0.475  # kgCO2e/kWh, configurable placeholder
+# How often a powercap span reads its counters. It only has to be far below
+# a counter's wrap period, which is minutes at any real power draw.
+SAMPLING_INTERVAL_S = 0.1
 
 
 class MeterError(Exception):
-    pass
+    """A bad meter setting, or a power source that cannot be read."""
 
 
-class MeterUsageError(MeterError):
-    """Span protocol violated (nested or mismatched spans)."""
-
-
-class MeterSourceError(MeterError):
-    """Underlying power source unavailable or unreadable."""
+def _finite(v) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,12 @@ class EnergyReport:
 @dataclass
 class MeterConfig:
     source: str = "constant-power"  # "powercap" | "constant-power" | "trace-replay"
-    sampling_interval_s: float = 0.1
     constant_watts: dict[str, float] = field(
         default_factory=lambda: {"cpu": 15.0, "ram": 3.0, "gpu": 0.0}
     )
     trace_path: str | None = None
     powercap_paths: dict[str, str] = field(default_factory=dict)  # domain -> counter file
     carbon_intensity: float = DEFAULT_CARBON_INTENSITY
-
-    def __post_init__(self):
-        if self.sampling_interval_s <= 0:
-            raise MeterError("sampling_interval_s must be > 0")
 
 
 def integrate(samples: list[PowerSample]) -> dict[str, float]:
@@ -106,7 +101,7 @@ def read_powercap_counter(path) -> int:
     try:
         return int(Path(path).read_text().strip())
     except (OSError, ValueError) as e:
-        raise MeterSourceError(
+        raise MeterError(
             f"cannot read powercap counter {path}: {e}; "
             "fall back to the constant-power source"
         ) from e
@@ -140,8 +135,16 @@ class Meter:
         self._active: tuple | None = None
         if config.source not in ("powercap", "constant-power", "trace-replay"):
             raise MeterError(f"unknown meter source {config.source!r}")
+        if not (_finite(config.carbon_intensity) and config.carbon_intensity >= 0):
+            raise MeterError(f"carbon_intensity must be a finite number >= 0, "
+                             f"got {config.carbon_intensity!r}")
+        # a domain outside DOMAINS would count in total_joules but have no report column
+        for name in ("constant_watts", "powercap_paths"):
+            by_domain = getattr(config, name)
+            if not isinstance(by_domain, dict) or not set(by_domain) <= set(DOMAINS):
+                raise MeterError(f"{name} must map domains among {DOMAINS}, got {by_domain!r}")
         if config.source == "powercap" and not config.powercap_paths:
-            raise MeterSourceError(
+            raise MeterError(
                 "powercap source needs powercap_paths; "
                 "fall back to the constant-power source"
             )
@@ -149,9 +152,7 @@ class Meter:
         # ranking, after every span. Powercap counters cannot be checked up front.
         if config.source == "constant-power":
             watts = config.constant_watts
-            if not isinstance(watts, dict) or not all(
-                    isinstance(w, (int, float)) and not isinstance(w, bool)
-                    and math.isfinite(w) and w >= 0 for w in watts.values()):
+            if not all(_finite(w) and w >= 0 for w in watts.values()):
                 raise MeterError(f"constant_watts must map domains to finite watts >= 0, "
                                  f"got {watts!r}")
             if not sum(watts.values()) > 0:
@@ -169,22 +170,19 @@ class Meter:
                 raise MeterError(f"trace {config.trace_path} integrates to {total} J, "
                                  "not a finite energy above 0")
 
-    def start_span(self) -> tuple:
+    def start_span(self) -> None:
+        """Opens the span `stop_span` closes; a span already open is a bug."""
         if self._active is not None:
-            raise MeterUsageError("spans do not nest: a span is already active")
+            raise RuntimeError("spans do not nest: a span is already active")
         started = self.clock()
-        sampler = None
-        if self.config.source == "powercap":
-            sampler = _PowercapSampler(self.config)
-            sampler.start()
-        self._active = (started, sampler)
-        return self._active
+        self._active = (started, _PowercapSampler(self.config.powercap_paths)
+                        if self.config.source == "powercap" else None)
 
-    def stop_span(self, handle: tuple) -> EnergyReport:
-        if handle is not self._active:
-            raise MeterUsageError("span already stopped")
-        self._active = None
-        started, sampler = handle
+    def stop_span(self) -> EnergyReport:
+        """Closes the open span and returns its energy; no open span is a bug."""
+        if self._active is None:
+            raise RuntimeError("no span is active")
+        (started, sampler), self._active = self._active, None
         duration = self.clock() - started
         joules = {d: 0.0 for d in DOMAINS}
         if self.config.source == "constant-power":
@@ -203,31 +201,33 @@ class Meter:
         """Runs `fn(*args)` in one span and returns (result, EnergyReport).
         The span closes, and a powercap sampler thread is joined, however
         `fn` exits."""
-        span = self.start_span()
+        self.start_span()
         try:
             result = fn(*args)
         finally:
-            energy = self.stop_span(span)
+            energy = self.stop_span()
         return result, energy
 
 
 class _PowercapSampler:
-    """Samples microjoule counters on a background thread so wraparounds
-    between start and stop are caught at the configured interval."""
+    """Samples microjoule counters on a background thread every
+    SAMPLING_INTERVAL_S from its creation to `stop`, so each wraparound in
+    between is caught."""
 
-    def __init__(self, config: MeterConfig):
-        self.paths = dict(config.powercap_paths)
-        self.interval = config.sampling_interval_s
+    def __init__(self, paths: dict[str, str]):
+        self.paths = dict(paths)
         self.max_range = {}
         self.last = {}
         self.acc_uj = {}
         for domain, path in self.paths.items():
-            p = Path(path)
-            self.max_range[domain] = read_powercap_counter(p.parent / f"max_{p.name}_range")
+            # a powercap zone holds energy_uj and its wrap value max_energy_range_uj
+            self.max_range[domain] = read_powercap_counter(Path(path).parent
+                                                           / "max_energy_range_uj")
             self.last[domain] = read_powercap_counter(path)
             self.acc_uj[domain] = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
 
     def _poll(self):
         for domain, path in self.paths.items():
@@ -236,11 +236,8 @@ class _PowercapSampler:
             self.last[domain] = curr
 
     def _run(self):
-        while not self._stop.wait(self.interval):
+        while not self._stop.wait(SAMPLING_INTERVAL_S):
             self._poll()
-
-    def start(self):
-        self._thread.start()
 
     def stop(self) -> dict[str, float]:
         self._stop.set()
@@ -265,6 +262,13 @@ def combine_reports(reports: list[EnergyReport]) -> EnergyReport:
 
 
 def report_from_dict(d: dict) -> EnergyReport:
+    """The report `EnergyReport.to_dict` wrote: its six keys, with a finite
+    number wherever a number goes. Anything else is a ValueError."""
+    keys = ["carbon_intensity", "co2e_kg", "duration_s", "joules", "kwh", "total_joules"]
+    if not (isinstance(d, dict) and sorted(d) == keys and isinstance(d["joules"], dict)
+            and all(_finite(v) for v in [*d["joules"].values(),
+                                         *(d[k] for k in keys if k != "joules")])):
+        raise ValueError(f"not an energy report with keys {keys} and finite numbers: {d!r}")
     return EnergyReport(
         joules=dict(d["joules"]),
         duration_s=d["duration_s"],
@@ -272,9 +276,9 @@ def report_from_dict(d: dict) -> EnergyReport:
     )
 
 
-def meter_from_spec(spec: str, config: MeterConfig | None = None) -> Meter:
-    """Build a meter from a CLI-style spec: powercap | constant | trace:<path>."""
-    base = config or MeterConfig()
+def meter_from_spec(spec: str, config: MeterConfig) -> Meter:
+    """`config`'s meter with the source a CLI-style spec names:
+    powercap | constant | trace:<path>."""
     if spec == "constant":
         changes = {"source": "constant-power"}
     elif spec == "powercap":
@@ -283,4 +287,4 @@ def meter_from_spec(spec: str, config: MeterConfig | None = None) -> Meter:
         changes = {"source": "trace-replay", "trace_path": spec.split(":", 1)[1]}
     else:
         raise MeterError(f"bad meter spec {spec!r}")
-    return Meter(dataclasses.replace(base, **changes))
+    return Meter(dataclasses.replace(config, **changes))

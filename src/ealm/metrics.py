@@ -2,9 +2,9 @@
 generation throughput.
 
 All metrics compare an output with its one reference, operate on lowercased
-whitespace tokens and stay in [0, 1]. BLEU uses no smoothing: any zero n-gram
-precision yields 0. METEOR runs the exact-match stage only, with the
-canonical (10, 0.5, 3) parameters.
+whitespace tokens and stay in [0, 1]. Each is 0.0 when either side is empty.
+BLEU uses no smoothing: any zero n-gram precision yields 0. METEOR runs the
+exact-match stage only, with the canonical (10, 0.5, 3) parameters.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lcs_length
-
-
-class MetricError(Exception):
-    pass
 
 
 @dataclass
@@ -59,8 +55,6 @@ def _overlap(candidate, reference, n) -> tuple[int, int, int]:
 def corpus_bleu(pairs, max_n: int = 4) -> float:
     """BLEU over (candidate, reference) token pairs: pooled clipped counts and
     pooled brevity lengths."""
-    if not pairs:
-        raise MetricError("empty corpus")
     clipped = [0] * max_n
     totals = [0] * max_n
     c_total = r_total = 0
@@ -86,10 +80,7 @@ def _f1(p: float, r: float) -> float:
 
 
 def rouge_n(candidate, reference, n: int) -> float:
-    if n not in (1, 2):
-        raise MetricError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    if not candidate or not reference:
-        raise MetricError("rouge_n needs nonempty inputs")
+    """ROUGE-N F1 for any n >= 1; 0.0 when either side has no n-gram."""
     overlap, n_cand, n_ref = _overlap(candidate, reference, n)
     if n_cand == 0 or n_ref == 0:
         return 0.0
@@ -108,7 +99,7 @@ def _to_ids(candidate, reference):
 
 def rouge_l(candidate, reference) -> float:
     if not candidate or not reference:
-        raise MetricError("rouge_l needs nonempty inputs")
+        return 0.0
     a, b = _to_ids(candidate, reference)
     lcs = lcs_length(a, b)
     return _f1(lcs / len(candidate), lcs / len(reference))
@@ -147,8 +138,6 @@ def _meteor_alignment(candidate, reference) -> tuple[int, int]:
 
 
 def meteor(candidate, reference) -> float:
-    if not candidate or not reference:
-        return 0.0
     m, chunks = _meteor_alignment(candidate, reference)
     if m == 0:
         return 0.0
@@ -173,30 +162,21 @@ def cosine(candidate, reference) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), 0.0, 1.0))
 
 
-def tokens_per_second(n_tokens: int, duration_s: float) -> float:
-    if duration_s <= 0:
-        raise MetricError("duration must be positive")
-    return n_tokens / duration_s
-
-
 def score_outputs(pairs, n_tokens: int, duration_s: float) -> MetricScores:
-    """Corpus BLEU plus per-pair means of the other metrics over
-    (candidate_text, reference_text) pairs."""
-    if not pairs:
-        raise MetricError("score_outputs needs at least one pair")
+    """Corpus BLEU over the pairs with two nonempty sides, per-pair means of
+    the other metrics over one or more (candidate_text, reference_text)
+    pairs, and `n_tokens` generated in `duration_s` > 0 seconds."""
     tok_pairs = [(tokenize(c), tokenize(r)) for c, r in pairs]
-    scorable = [(c, r) for c, r in tok_pairs if c and r]
-    n = len(tok_pairs)
 
     def mean(fn):
-        return sum(fn(c, r) for c, r in scorable) / n if scorable else 0.0
+        return sum(fn(c, r) for c, r in tok_pairs) / len(tok_pairs)
 
     return MetricScores(
-        bleu=corpus_bleu(scorable) if scorable else 0.0,
+        bleu=corpus_bleu([(c, r) for c, r in tok_pairs if c and r]),
         rouge1_f=mean(lambda c, r: rouge_n(c, r, 1)),
         rouge2_f=mean(lambda c, r: rouge_n(c, r, 2)),
         rougeL_f=mean(rouge_l),
         meteor=mean(meteor),
         cosine=mean(cosine),
-        tokens_per_s=tokens_per_second(n_tokens, duration_s),
+        tokens_per_s=n_tokens / duration_s,
     )

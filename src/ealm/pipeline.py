@@ -27,10 +27,10 @@ from .meter import (
     meter_from_spec,
     report_from_dict,
 )
-from .metrics import MetricError, MetricScores, score_outputs
+from .metrics import MetricScores, score_outputs
 from .rank import CandidateRecord, TrainRecord
-from .tensors import (BundleError, BundleFormatError, Lineage, LmConfig, is_int, load_bundle,
-                      payload_bytes, read_tensors, save_bundle, write_atomic, write_tensors)
+from .tensors import (BundleError, Lineage, LmConfig, is_int, load_bundle, payload_bytes,
+                      read_tensors, save_bundle, write_atomic, write_tensors)
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class PipelineConfig:
     w: float = 0.7
     k: int = 2
     prune_ratios: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
-    nm_patterns: list[tuple[int, int]] = field(default_factory=lambda: [(2, 4), (4, 8)])
+    nm_patterns: list[list[int]] = field(default_factory=lambda: [[2, 4], [4, 8]])
     d_model: int = 32
     n_layers: int = 2
     n_heads: int = 2
@@ -70,8 +70,8 @@ class PipelineConfig:
         if not self.bits_grid or not self.epochs_grid:
             raise ConfigError("bits_grid and epochs_grid must be nonempty")
         for p in self.nm_patterns:
-            if len(p) != 2:
-                raise ConfigError(f"nm_patterns entry {list(p)} is not an [n, m] pair")
+            if not isinstance(p, list) or len(p) != 2:
+                raise ConfigError(f"nm_patterns entry {p!r} is not an [n, m] pair")
         counts = {"bits_grid": self.bits_grid, "seed": [self.seed],
                   "nm_patterns": [x for p in self.nm_patterns for x in p],
                   "epochs_grid": self.epochs_grid, "k": [self.k],
@@ -129,16 +129,11 @@ class PipelineConfig:
             raise ConfigError(f"bad meter config: {e}") from e
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["nm_patterns"] = [list(p) for p in self.nm_patterns]
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
         try:
-            if "nm_patterns" in d:
-                d["nm_patterns"] = [tuple(p) for p in d["nm_patterns"]]
             return cls(**d)
         except TypeError as e:
             raise ConfigError(f"bad config: {e}") from e
@@ -150,7 +145,10 @@ class PipelineConfig:
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read {path}: {e}") from e
         if str(path).endswith((".yaml", ".yml")):
-            import yaml
+            try:
+                import yaml
+            except ImportError as e:
+                raise ConfigError(f"{path}: reading a YAML config needs the pyyaml package") from e
             parse, syntax_error = yaml.safe_load, yaml.YAMLError
         else:
             parse, syntax_error = json.loads, json.JSONDecodeError
@@ -281,7 +279,7 @@ def _score(records: list[CandidateRecord], w: float, baseline: CandidateRecord) 
 # What one candidate's own work can raise: it is recorded as a failed
 # candidate and the grid goes on. Anything else (a bug, a meter failure)
 # stops the run.
-CANDIDATE_ERRORS = (tinylm.LmError, quant_mod.QuantError, prune_mod.PruneError, MetricError)
+CANDIDATE_ERRORS = (tinylm.LmError, quant_mod.QuantError, prune_mod.PruneError)
 
 
 def _failed(cid: str, lineage: Lineage, stage: str, exc: Exception) -> CandidateRecord:
@@ -472,11 +470,11 @@ def _adapters(tensors: dict, meta: dict, config: LmConfig) -> tinylm.LoraAdapter
     """The adapters of an .adapters.ealm file if they are what save_artifacts
     writes for a model of `config`: an int rank, a float alpha, and for each
     adapted (p, q) matrix one finite float32 A (p, rank) and B (rank, q) and
-    nothing else. Anything else is a BundleFormatError."""
+    nothing else. Anything else is a BundleError."""
     rank, alpha = meta.get("rank"), meta.get("alpha")
     if sorted(meta) != ["alpha", "rank"] or not (is_int(rank) and rank >= 1
                                                  and type(alpha) is float):
-        raise BundleFormatError(f"adapter meta {meta} is not an int rank and a float alpha")
+        raise BundleError(f"adapter meta {meta} is not an int rank and a float alpha")
     want = {f"{side}:{name}": (shape[0], rank) if side == "a" else (rank, shape[1])
             for name, shape in config.tensor_shapes().items()
             if quant_mod.default_target_filter(name) for side in "ab"}
@@ -484,8 +482,8 @@ def _adapters(tensors: dict, meta: dict, config: LmConfig) -> tinylm.LoraAdapter
         isinstance(t, np.ndarray) and t.dtype == np.float32 and t.shape == want.get(n)
         and np.isfinite(t).all()))
     if bad or len(tensors) != len(want):
-        raise BundleFormatError(f"adapters missing {sorted(set(want) - set(tensors))}, unknown "
-                                f"or not a finite float32 of the right shape {bad}")
+        raise BundleError(f"adapters missing {sorted(set(want) - set(tensors))}, unknown "
+                          f"or not a finite float32 of the right shape {bad}")
     a, b = ({n[2:]: t for n, t in tensors.items() if n[0] == side} for side in "ab")
     return tinylm.LoraAdapters(rank, alpha, a, b)
 
@@ -550,13 +548,14 @@ def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord
 
 
 def load_loop1(out_dir) -> tuple[list[CandidateRecord], CandidateRecord]:
-    """candidates_loop1.json's records and the baseline among them."""
+    """candidates_loop1.json's records and the one ok baseline among them."""
     path = Path(out_dir) / "candidates_loop1.json"
     records = load_candidates(path)
-    baseline = next((r for r in records if r.baseline), None)
-    if baseline is None:
-        raise StageError(f"{path} has no baseline candidate")
-    return records, baseline
+    baselines = [r for r in records if r.baseline]
+    if len(baselines) != 1 or baselines[0].status != "ok":
+        raise StageError(f"{path} has {len(baselines)} baseline candidates, "
+                         "not one that is ok")
+    return records, baselines[0]
 
 
 def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:

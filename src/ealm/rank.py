@@ -11,11 +11,15 @@ from dataclasses import dataclass, field
 
 from .meter import EnergyReport, report_from_dict
 from .metrics import MetricScores
-from .tensors import Lineage, from_fields
+from .tensors import Lineage, from_fields, is_int
 
 
 class RankError(Exception):
     pass
+
+
+# The `extra` keys the pipeline writes on an ok record, by stage; a failed one has none.
+OK_EXTRA_KEYS = {"finetune": ["eval_energy", "payload_bytes"], "prune": ["payload_bytes"]}
 
 
 @dataclass
@@ -78,6 +82,12 @@ class CandidateRecord:
             extra=d["extra"])
         if rec.status == "ok" and (rec.scores is None or rec.energy is None):
             raise KeyError(f"record {rec.id!r} is ok but has no scores or energy")
+        extra, want = rec.extra, OK_EXTRA_KEYS[rec.stage] if rec.status == "ok" else []
+        if (not isinstance(extra, dict) or sorted(extra) != want
+                or ("payload_bytes" in extra and not is_int(extra["payload_bytes"]))):
+            raise KeyError(f"record {rec.id!r} ({rec.stage}, {rec.status}) has extra {extra!r}")
+        if "eval_energy" in extra:
+            report_from_dict(extra["eval_energy"])
         return rec
 
 

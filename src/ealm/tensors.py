@@ -31,15 +31,8 @@ DTYPE_I4 = 3
 
 
 class BundleError(Exception):
-    """Base class for bundle container failures."""
-
-
-class BundleFormatError(BundleError):
-    """Bad magic, version, or structural field."""
-
-
-class BundleCorruptionError(BundleError):
-    """Truncated or inconsistent payload; names the offending tensor."""
+    """An EALM file that cannot be written, or does not hold what the writer
+    writes; the message names the file, and the tensor if in one."""
 
 
 # What the pipeline quantizes, adapts and prunes: `layers.{i}.<matrix>` for each.
@@ -189,7 +182,7 @@ def _encode(t) -> tuple[int, bytes]:
 
 
 def _decode(context: str, dtype_code: int, dims: tuple[int, ...], payload: bytes):
-    """A tensor exactly as `_encode` writes it, else a BundleCorruptionError."""
+    """A tensor exactly as `_encode` writes it, else a BundleError."""
     n = math.prod(dims)
     try:
         if dtype_code in (DTYPE_F32, DTYPE_F16):
@@ -211,7 +204,7 @@ def _decode(context: str, dtype_code: int, dims: tuple[int, ...], payload: bytes
         codes = (raw.copy() if bits == 8 else unpack_nibbles(raw, n)).reshape(dims)
         return QuantizedTensor(shape=dims, bits=bits, codes=codes, scales=scales)
     except (ValueError, struct.error) as e:
-        raise BundleCorruptionError(f"{context}: payload corrupt") from e
+        raise BundleError(f"{context}: payload corrupt") from e
 
 
 def write_tensors(path, tensors: dict, meta: dict) -> None:
@@ -249,7 +242,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.off + n > len(self.data):
-            raise BundleCorruptionError(f"{self.context}: truncated while reading {what}")
+            raise BundleError(f"{self.context}: truncated while reading {what}")
         out = self.data[self.off : self.off + n]
         self.off += n
         return out
@@ -259,39 +252,42 @@ class _Reader:
 
 
 def read_tensors(path) -> tuple[dict, dict]:
-    """An EALM container file's (tensors, meta dict). A file that is cut short
-    or does not decode is a BundleError naming it, and the tensor if in one."""
+    """An EALM container file's (tensors, meta dict). A file that is cut short,
+    does not decode or goes on after its metadata is a BundleError naming it,
+    and the tensor if in one."""
     with open(path, "rb") as f:
         data = f.read()
     rd = _Reader(data, str(path))
     if rd.take(4, "magic") != MAGIC:
-        raise BundleFormatError(f"{path}: bad magic")
+        raise BundleError(f"{path}: bad magic")
     (version, count) = rd.unpack("<HI", "header")
     if version != VERSION:
-        raise BundleFormatError(f"{path}: unsupported version {version}")
+        raise BundleError(f"{path}: unsupported version {version}")
     tensors: dict[str, np.ndarray | QuantizedTensor] = {}
     for _ in range(count):
         (nlen,) = rd.unpack("<H", "name length")
         try:
             name = rd.take(nlen, "name").decode("utf-8")
         except UnicodeDecodeError as e:
-            raise BundleCorruptionError(f"{path}: tensor name is not UTF-8") from e
+            raise BundleError(f"{path}: tensor name is not UTF-8") from e
         rd.context = f"{path} tensor {name!r}"
         dtype_code, rank = rd.unpack("<BB", "dtype/rank")
         dims = rd.unpack(f"<{rank}Q", "dims")
         (plen,) = rd.unpack("<Q", "payload length")
         payload = rd.take(plen, "payload")
         if name in tensors:
-            raise BundleFormatError(f"{path}: duplicate tensor {name!r}")
+            raise BundleError(f"{path}: duplicate tensor {name!r}")
         tensors[name] = _decode(rd.context, dtype_code, dims, payload)
         rd.context = str(path)
     (mlen,) = rd.unpack("<Q", "metadata length")
     try:
         meta = json.loads(rd.take(mlen, "metadata").decode("utf-8"))
     except ValueError as e:  # bad UTF-8 or JSON
-        raise BundleFormatError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
+        raise BundleError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
     if not isinstance(meta, dict):
-        raise BundleFormatError(f"{path}: metadata is not a JSON object")
+        raise BundleError(f"{path}: metadata is not a JSON object")
+    if rd.off != len(data):
+        raise BundleError(f"{path}: {len(data) - rd.off} bytes after the metadata")
     return tensors, meta
 
 
@@ -306,9 +302,9 @@ def load_bundle(path) -> ModelBundle:
         bundle = ModelBundle(tensors, from_fields(LmConfig, meta["config"]),
                              from_fields(Lineage, meta["lineage"]))
     except (ValueError, KeyError, TypeError) as e:
-        raise BundleFormatError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
+        raise BundleError(f"{path}: bad metadata ({type(e).__name__}: {e})") from e
     try:
         bundle.validate()  # the file decodes; now it must also match its config
     except BundleError as e:
-        raise BundleFormatError(f"{path}: {e}") from e
+        raise BundleError(f"{path}: {e}") from e
     return bundle

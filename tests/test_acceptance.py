@@ -223,12 +223,12 @@ def test_criterion_6_energy():
     meter = Meter(cfg, clock=clock)
     parts = []
     for dt in (0.5, 1.25, 2.0, 0.125):
-        h = meter.start_span()
+        meter.start_span()
         clock.t += dt
-        parts.append(meter.stop_span(h))
-    h = meter.start_span()
+        parts.append(meter.stop_span())
+    meter.start_span()
     clock.t += 3.875
-    whole = meter.stop_span(h)
+    whole = meter.stop_span()
     assert combine_reports(parts).total_joules == whole.total_joules
     assert combine_reports(parts).co2e_kg == whole.co2e_kg
 
@@ -270,7 +270,7 @@ def smoke_config(tmp_path, **overrides):
     save_jsonl(records[:4], evalp)
     base = dict(
         bits_grid=[4, 16, 32], epochs_grid=[2], w=0.7, k=2,
-        prune_ratios=[0.3, 0.5], nm_patterns=[(2, 4)],
+        prune_ratios=[0.3, 0.5], nm_patterns=[[2, 4]],
         d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq=64,
         lora_rank=2, lora_alpha=4.0, lr=0.05, max_new_tokens=8,
         train_path=str(train), eval_path=str(evalp),

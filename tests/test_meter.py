@@ -1,13 +1,17 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
+from ealm import cli
+from ealm import meter as meter_mod
+from ealm import pipeline as pl
 from ealm.meter import (
     EnergyReport,
     Meter,
     MeterConfig,
     MeterError,
-    MeterSourceError,
-    MeterUsageError,
     PowerSample,
     combine_reports,
     counter_delta,
@@ -66,15 +70,15 @@ def test_constant_power_span_additivity():
                               constant_watts={"cpu": 12.0, "ram": 2.0}), clock=clock)
     reports = []
     for dt in (1.0, 2.5, 0.25):
-        h = meter.start_span()
+        meter.start_span()
         clock.advance(dt)
-        reports.append(meter.stop_span(h))
+        reports.append(meter.stop_span())
 
     whole = Meter(MeterConfig(source="constant-power",
                               constant_watts={"cpu": 12.0, "ram": 2.0}), clock=clock)
-    h = whole.start_span()
+    whole.start_span()
     clock.advance(3.75)
-    one = whole.stop_span(h)
+    one = whole.stop_span()
 
     combined = combine_reports(reports)
     assert combined.total_joules == pytest.approx(one.total_joules, rel=1e-12)
@@ -83,14 +87,24 @@ def test_constant_power_span_additivity():
     assert reports[0].joules["gpu"] == 0.0
 
 
-def test_spans_do_not_nest():
+def test_spans_do_not_nest(tmp_path, monkeypatch):
+    """A nested span or a stop with no open span is a bug: a RuntimeError,
+    which the CLI lets propagate with its traceback."""
     meter = Meter(MeterConfig(source="constant-power"), clock=FakeClock())
-    h = meter.start_span()
-    with pytest.raises(MeterUsageError):
+    meter.start_span()
+    with pytest.raises(RuntimeError, match="do not nest"):
         meter.start_span()
-    meter.stop_span(h)
-    with pytest.raises(MeterUsageError):
-        meter.stop_span(h)  # already stopped
+    meter.stop_span()
+    with pytest.raises(RuntimeError, match="no span"):
+        meter.stop_span()  # already stopped
+    with pytest.raises(RuntimeError, match="do not nest"):
+        meter.measure(meter.measure, len, "")
+    assert meter.measure(len, "ab")[0] == 2  # the outer span closed
+
+    # a run whose meter is misused stops with the traceback, not exit 3
+    monkeypatch.setattr(pl, "run_all", lambda cfg, m: m.measure(m.measure, len, ""))
+    with pytest.raises(RuntimeError, match="do not nest"):
+        cli.main(["run-all", "--out", str(tmp_path / "out")])
 
 
 def test_trace_replay(tmp_path):
@@ -108,16 +122,16 @@ def test_trace_replay(tmp_path):
 
     meter = Meter(MeterConfig(source="trace-replay", trace_path=str(trace)),
                   clock=FakeClock())
-    h = meter.start_span()
-    rep = meter.stop_span(h)
+    meter.start_span()
+    rep = meter.stop_span()
     assert rep.joules["cpu"] == pytest.approx(10.0, abs=1e-12)
     assert rep.joules["ram"] == pytest.approx(3.0, abs=1e-12)
     assert rep.total_joules == pytest.approx(13.0, abs=1e-12)
 
     # replay is deterministic: a second meter yields identical joules
     again = Meter(MeterConfig(source="trace-replay", trace_path=str(trace)))
-    h2 = again.start_span()
-    rep2 = again.stop_span(h2)
+    again.start_span()
+    rep2 = again.stop_span()
     assert rep2.joules == rep.joules
 
 
@@ -127,50 +141,74 @@ def test_trace_replay_requires_path():
 
 
 def powercap_dir(tmp_path, uj=5_000_000, max_range=262143328850):
+    """A zone laid out like /sys/class/powercap/intel-rapl:0."""
     d = tmp_path / "intel-rapl:0"
     d.mkdir()
     (d / "energy_uj").write_text(f"{uj}\n")
-    (d / "max_energy_uj_range").write_text(f"{max_range}\n")
+    (d / "max_energy_range_uj").write_text(f"{max_range}\n")
     return d / "energy_uj"
+
+
+def write_counter(counter, uj):
+    """Replaces the counter file whole, so the sampler never reads it half written."""
+    tmp = counter.with_name("energy_uj.tmp")
+    tmp.write_text(f"{uj}\n")
+    os.replace(tmp, counter)
 
 
 def test_powercap_counter_reads(tmp_path):
     counter = powercap_dir(tmp_path)
     assert read_powercap_counter(counter) == 5_000_000
-    with pytest.raises(MeterSourceError):
+    with pytest.raises(MeterError):
         read_powercap_counter(tmp_path / "missing")
     bad = tmp_path / "bad"
     bad.write_text("not-a-number")
-    with pytest.raises(MeterSourceError):
+    with pytest.raises(MeterError):
         read_powercap_counter(bad)
 
 
 def test_powercap_span_from_synthetic_counters(tmp_path):
     counter = powercap_dir(tmp_path, uj=1_000_000)
-    cfg = MeterConfig(source="powercap", sampling_interval_s=0.01,
-                      powercap_paths={"cpu": str(counter)})
+    cfg = MeterConfig(source="powercap", powercap_paths={"cpu": str(counter)})
     meter = Meter(cfg)
-    h = meter.start_span()
-    counter.write_text("3_500_000".replace("_", "") + "\n")
-    rep = meter.stop_span(h)
+    meter.start_span()
+    write_counter(counter, 3_500_000)
+    rep = meter.stop_span()
     assert rep.joules["cpu"] == pytest.approx(2.5, abs=1e-9)
 
 
 def test_powercap_span_handles_wraparound(tmp_path):
     counter = powercap_dir(tmp_path, uj=999_000_000, max_range=1_000_000_000)
-    cfg = MeterConfig(source="powercap", sampling_interval_s=0.005,
-                      powercap_paths={"cpu": str(counter)})
+    cfg = MeterConfig(source="powercap", powercap_paths={"cpu": str(counter)})
     meter = Meter(cfg)
-    h = meter.start_span()
-    counter.write_text("2000000\n")  # wrapped past the range
-    rep = meter.stop_span(h)
+    meter.start_span()
+    write_counter(counter, 2_000_000)  # wrapped past the range
+    rep = meter.stop_span()
     assert rep.joules["cpu"] == pytest.approx(3.0, abs=1e-6)
+
+
+def test_powercap_span_counts_a_wrap_between_each_pair_of_polls(tmp_path, monkeypatch):
+    """The sampler thread exists for this: two wraps in one span, each seen
+    by a poll of its own, add up to more than one counter range."""
+    monkeypatch.setattr(meter_mod, "SAMPLING_INTERVAL_S", 0.002)
+    counter = powercap_dir(tmp_path, uj=900_000_000, max_range=1_000_000_000)
+    meter = Meter(MeterConfig(source="powercap", powercap_paths={"cpu": str(counter)}))
+    meter.start_span()
+    sampler = meter._active[1]  # (start time, sampler)
+    for uj in (100_000_000, 50_000_000):  # each reading is below the one before: a wrap
+        write_counter(counter, uj)
+        deadline = time.monotonic() + 10.0
+        while sampler.last["cpu"] != uj:  # wait for a poll to read it
+            assert time.monotonic() < deadline, "the sampler thread never polled"
+            time.sleep(0.001)
+    rep = meter.stop_span()
+    # 900M -> 100M wraps (200M uJ), 100M -> 50M wraps (950M uJ)
+    assert rep.joules["cpu"] == pytest.approx(1150.0, abs=1e-6)
 
 
 def test_measure_closes_span_when_fn_raises(tmp_path):
     counter = powercap_dir(tmp_path)
-    meter = Meter(MeterConfig(source="powercap", sampling_interval_s=0.01,
-                              powercap_paths={"cpu": str(counter)}))
+    meter = Meter(MeterConfig(source="powercap", powercap_paths={"cpu": str(counter)}))
     samplers = []
 
     def boom():
@@ -186,7 +224,7 @@ def test_measure_closes_span_when_fn_raises(tmp_path):
 
 
 def test_powercap_needs_paths():
-    with pytest.raises(MeterSourceError):
+    with pytest.raises(MeterError):
         Meter(MeterConfig(source="powercap"))
 
 
@@ -205,13 +243,13 @@ def test_report_dict_roundtrip():
 
 
 def test_meter_from_spec(tmp_path):
-    assert meter_from_spec("constant").config.source == "constant-power"
+    assert meter_from_spec("constant", MeterConfig()).config.source == "constant-power"
     trace = tmp_path / "t.csv"
     trace.write_text("0.0,cpu,1.0\n1.0,cpu,1.0\n")
-    m = meter_from_spec(f"trace:{trace}")
+    m = meter_from_spec(f"trace:{trace}", MeterConfig())
     assert m.config.source == "trace-replay"
     with pytest.raises(MeterError):
-        meter_from_spec("solar")
+        meter_from_spec("solar", MeterConfig())
 
 
 def test_meter_from_spec_leaves_config_unchanged(tmp_path):
@@ -226,9 +264,10 @@ def test_meter_from_spec_leaves_config_unchanged(tmp_path):
 
 
 def test_bad_config():
-    with pytest.raises(MeterError):
-        MeterConfig(sampling_interval_s=0.0)
-    with pytest.raises(MeterError):
-        Meter(MeterConfig(source="wind"))
+    for bad in ({"source": "wind"}, {"carbon_intensity": "x"}, {"carbon_intensity": -1},
+                {"carbon_intensity": float("nan")}, {"constant_watts": {"cpu": 1, "tpu": 2}},
+                {"powercap_paths": {"tpu": "energy_uj"}}):
+        with pytest.raises(MeterError):
+            Meter(MeterConfig(**bad))
     with pytest.raises(MeterError):
         combine_reports([])

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from ealm import pipeline as pl
 from ealm import prune as prune_mod
 from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save_jsonl
 from ealm.meter import Meter
-from ealm.metrics import MetricError, MetricScores, score_outputs
+from ealm.metrics import MetricScores, score_outputs
 from ealm.quant import QuantSpec, quantize_bundle
 from ealm.rank import select_top_k
 from ealm.tensors import (WEIGHT_MATRICES, BundleError, Lineage, LmConfig, from_fields,
@@ -33,7 +34,7 @@ def make_config(tmp_path, **overrides) -> pl.PipelineConfig:
     save_jsonl(records[:2], evalp)
     base = dict(
         bits_grid=[4, 32], epochs_grid=[1], w=0.7, k=1,
-        prune_ratios=[0.5], nm_patterns=[(2, 4)],
+        prune_ratios=[0.5], nm_patterns=[[2, 4]],
         d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq=64,
         lora_rank=2, lora_alpha=4.0, lr=0.05, max_new_tokens=8,
         train_path=str(train), eval_path=str(evalp),
@@ -61,7 +62,7 @@ def test_config_validation():
     with pytest.raises(pl.ConfigError):
         pl.PipelineConfig(prune_ratios=[1.5])
     with pytest.raises(pl.ConfigError):
-        pl.PipelineConfig(nm_patterns=[(4, 4)])
+        pl.PipelineConfig(nm_patterns=[[4, 4]])
     with pytest.raises(pl.ConfigError):
         pl.PipelineConfig(w=1.2)
     with pytest.raises(pl.ConfigError):
@@ -363,7 +364,7 @@ def test_each_epoch_candidate_matches_its_own_fine_tune(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("where, failed", [
     pytest.param("train", {"ft-b4-e3": "DivergenceError: injected"}, id="epoch-2"),
-    pytest.param("eval", {"ft-b4-e1": "MetricError: injected"}, id="eval-e1"),
+    pytest.param("eval", {"ft-b4-e1": "LmError: injected"}, id="eval-e1"),
 ])
 def test_loop1_error_fails_only_the_candidates_it_reaches(tmp_path, monkeypatch, where,
                                                           failed):
@@ -374,7 +375,7 @@ def test_loop1_error_fails_only_the_candidates_it_reaches(tmp_path, monkeypatch,
     # width 4 trains first: its second epoch is the second train_epoch call,
     # and its 1-epoch candidate is the first one scored
     module, name, exc, at = ((tinylm, "train_epoch", tinylm.DivergenceError, 2)
-                             if where == "train" else (pl, "score_outputs", MetricError, 1))
+                             if where == "train" else (pl, "score_outputs", tinylm.LmError, 1))
     real, calls = getattr(module, name), []
 
     def inject(*args):
@@ -468,7 +469,7 @@ def test_merge_error_fails_only_its_parents_variants(tmp_path, monkeypatch):
 
 def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, bits_grid=[4, 8, 16, 32], prune_ratios=[0.3, 0.5],
-                      nm_patterns=[(2, 4)])
+                      nm_patterns=[[2, 4]])
     meter = pl.build_meter(cfg)
     train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
     loop1, artifacts = pl.run_finetune_grid(cfg, meter, train, evals)
@@ -569,6 +570,7 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, meter_spec", [
+    # the sampling interval is a constant, so a config that sets it has an unknown meter key
     pytest.param({"meter": {"sampling_interval_s": 0}}, None, id="sampling-interval-0"),
     pytest.param({"meter": {"source": "bogus"}}, None, id="meter-source"),
     pytest.param({"meter": {"source": "trace-replay"}}, None, id="trace-without-path"),
@@ -622,10 +624,21 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     pytest.param({"nm_patterns": [[2, 4, 8]]}, None, id="nm-triple"),
     pytest.param({"nm_patterns": [2]}, None, id="nm-not-a-list"),
     pytest.param({"nm_patterns": [[2.0, 4]]}, None, id="nm-float"),
+    pytest.param({"meter": {"carbon_intensity": "x"}}, None, id="carbon-intensity-string"),
+    pytest.param({"meter": {"carbon_intensity": -1}}, None, id="carbon-intensity-negative"),
+    # a domain with no report column would break cpu + ram + gpu = total
+    pytest.param({"meter": {"constant_watts": {"cpu": 1, "tpu": 2}}}, None,
+                 id="constant-watts-unknown-domain"),
+    pytest.param("yaml", None, id="yaml-without-pyyaml"),
 ])
-def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, meter_spec):
+def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, overrides,
+                                                  meter_spec):
     (tmp_path / "one-sample.csv").write_text("0.0,cpu,10.0\n")
     cfg_path = tmp_path / "cfg.json"
+    if overrides == "yaml":  # a good config, but no pyyaml to read it
+        cfg_path = tmp_path / "cfg.yaml"
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        overrides = {}
     if overrides is not None:
         cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), **overrides}))
     argv = ["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
@@ -635,6 +648,21 @@ def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, overrides, m
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out" / "candidates_loop1.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["finetune-grid", "--k", "1"], ["rank", "--seed", "1"], ["prune-grid", "--seed", "1"],
+    ["prune-grid", "--k", "1"], ["report", "--seed", "1"], ["report", "--k", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_stages_take_only_the_flags_they_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    args = cli.build_parser().parse_args([
+        "run-all", "--config", "c.json", "--out", "o", "--seed", "1", "--w", "0.5", "--k", "2",
+        "--meter", "constant"])
+    assert (args.config, args.out, args.seed, args.w, args.k, args.meter) == (
+        "c.json", "o", 1, 0.5, 2, "constant")
 
 
 @pytest.mark.parametrize("command", ["rank", "report"])
@@ -759,6 +787,14 @@ def ranked_state(tmp_path_factory):
     ("rank", "non-utf8:candidates_loop1.json"),
     ("prune-grid", "non-utf8:topk.json"),
     ("prune-grid", "non-utf8:artifacts/{top}.ealm"),
+    # a record that decodes but is not what its writer writes
+    ("prune-grid", "record:baseline-extra-empty:candidates_loop1.json"),
+    ("prune-grid", "record:eval-energy-no-duration:candidates_loop1.json"),
+    ("report", "record:joules-string:candidates_loop1.json"),
+    ("report", "record:two-baselines:candidates_loop1.json"),
+    # an .ealm file that goes on after its metadata
+    ("prune-grid", "appended:artifacts/{top}.ealm"),
+    ("prune-grid", "appended:artifacts/{top}.adapters.ealm"),
 ])
 def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, command, missing):
     cfg_path, ranked_out, top = ranked_state
@@ -809,6 +845,24 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
         # length: 4 + 2 + 4 + 2 bytes; a JSON file's first value is a record id
         data[12 if victim.suffix == ".ealm" else data.index(b'"id": "') + 7] = 0xFF
         victim.write_bytes(bytes(data))
+    elif missing and missing.startswith("record:"):
+        _, damage, name = missing.split(":")
+        victim = out / name
+        recs = json.loads(victim.read_text())
+        base = next(r for r in recs if r["baseline"])
+        if damage == "baseline-extra-empty":
+            base["extra"] = {}
+        elif damage == "eval-energy-no-duration":
+            del base["extra"]["eval_energy"]["duration_s"]
+        elif damage == "joules-string":
+            base["energy"]["joules"]["cpu"] = "x"
+        else:
+            for r in recs:
+                r["baseline"] = True
+        victim.write_text(json.dumps(recs))
+    elif missing and missing.startswith("appended:"):
+        victim = out / missing.removeprefix("appended:").format(top=top)
+        victim.write_bytes(victim.read_bytes() + bytes(23))
     elif missing and missing.startswith("drop-tensor:"):
         victim = out / missing.removeprefix("drop-tensor:").format(top=top)
         bundle = load_bundle(victim)
@@ -852,6 +906,10 @@ def test_damaged_artifacts_load_or_raise_a_stage_error(tmp_path):
                 except pl.StageError as e:
                     assert isinstance(e.__cause__, BundleError), e
                     assert path.name in str(e)
+        for tail in (b"\0", bytes(23)):  # the metadata ends the file
+            path.write_bytes(good + tail)
+            with pytest.raises(pl.StageError, match=f"{path.name}: {len(tail)} bytes after"):
+                pl.load_artifacts(["c"], tmp_path)
         path.write_bytes(good)
     pl.load_artifacts(["c"], tmp_path)
 
