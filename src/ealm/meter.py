@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .tensors import check_types, fits, from_fields
+
 DOMAINS = ("cpu", "ram", "gpu")
 JOULES_PER_KWH = 3.6e6
 DEFAULT_CARBON_INTENSITY = 0.475  # kgCO2e/kWh, configurable placeholder
@@ -25,11 +27,6 @@ SAMPLING_INTERVAL_S = 0.1
 
 class MeterError(Exception):
     """A bad meter setting, or a power source that cannot be read."""
-
-
-def _finite(v) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -133,15 +130,16 @@ class Meter:
         self.clock = clock
         # the open span: (start time, powercap sampler or None)
         self._active: tuple | None = None
+        check_types(MeterConfig, vars(config), MeterError)
         if config.source not in ("powercap", "constant-power", "trace-replay"):
             raise MeterError(f"unknown meter source {config.source!r}")
-        if not (_finite(config.carbon_intensity) and config.carbon_intensity >= 0):
+        if not config.carbon_intensity >= 0:
             raise MeterError(f"carbon_intensity must be a finite number >= 0, "
                              f"got {config.carbon_intensity!r}")
         # a domain outside DOMAINS would count in total_joules but have no report column
         for name in ("constant_watts", "powercap_paths"):
             by_domain = getattr(config, name)
-            if not isinstance(by_domain, dict) or not set(by_domain) <= set(DOMAINS):
+            if not set(by_domain) <= set(DOMAINS):
                 raise MeterError(f"{name} must map domains among {DOMAINS}, got {by_domain!r}")
         if config.source == "powercap" and not config.powercap_paths:
             raise MeterError(
@@ -152,7 +150,7 @@ class Meter:
         # ranking, after every span. Powercap counters cannot be checked up front.
         if config.source == "constant-power":
             watts = config.constant_watts
-            if not all(_finite(w) and w >= 0 for w in watts.values()):
+            if not all(w >= 0 for w in watts.values()):
                 raise MeterError(f"constant_watts must map domains to finite watts >= 0, "
                                  f"got {watts!r}")
             if not sum(watts.values()) > 0:
@@ -212,7 +210,8 @@ class Meter:
 class _PowercapSampler:
     """Samples microjoule counters on a background thread every
     SAMPLING_INTERVAL_S from its creation to `stop`, so each wraparound in
-    between is caught."""
+    between is caught. A failed read ends the thread, and `stop` raises it:
+    the wraps after it would go uncounted."""
 
     def __init__(self, paths: dict[str, str]):
         self.paths = dict(paths)
@@ -226,6 +225,7 @@ class _PowercapSampler:
             self.last[domain] = read_powercap_counter(path)
             self.acc_uj[domain] = 0
         self._stop = threading.Event()
+        self._error: Exception | None = None
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
@@ -236,12 +236,17 @@ class _PowercapSampler:
             self.last[domain] = curr
 
     def _run(self):
-        while not self._stop.wait(SAMPLING_INTERVAL_S):
-            self._poll()
+        try:
+            while not self._stop.wait(SAMPLING_INTERVAL_S):
+                self._poll()
+        except Exception as e:  # stop() raises it in the thread that reads the span
+            self._error = e
 
     def stop(self) -> dict[str, float]:
         self._stop.set()
         self._thread.join()
+        if self._error is not None:
+            raise self._error
         self._poll()
         return {d: uj / 1e6 for d, uj in self.acc_uj.items()}
 
@@ -263,17 +268,13 @@ def combine_reports(reports: list[EnergyReport]) -> EnergyReport:
 
 def report_from_dict(d: dict) -> EnergyReport:
     """The report `EnergyReport.to_dict` wrote: its six keys, with a finite
-    number wherever a number goes. Anything else is a ValueError."""
+    number wherever a number goes. Anything else is a ValueError or TypeError."""
     keys = ["carbon_intensity", "co2e_kg", "duration_s", "joules", "kwh", "total_joules"]
-    if not (isinstance(d, dict) and sorted(d) == keys and isinstance(d["joules"], dict)
-            and all(_finite(v) for v in [*d["joules"].values(),
-                                         *(d[k] for k in keys if k != "joules")])):
+    if not (isinstance(d, dict) and sorted(d) == keys
+            and all(fits(d[k], float) for k in ("co2e_kg", "kwh", "total_joules"))):
         raise ValueError(f"not an energy report with keys {keys} and finite numbers: {d!r}")
-    return EnergyReport(
-        joules=dict(d["joules"]),
-        duration_s=d["duration_s"],
-        carbon_intensity=d["carbon_intensity"],
-    )
+    return from_fields(EnergyReport, {k: d[k] for k in ("carbon_intensity", "duration_s",
+                                                        "joules")})
 
 
 def meter_from_spec(spec: str, config: MeterConfig) -> Meter:

@@ -33,9 +33,6 @@ class MetricScores:
     def quality_values(self) -> list[float]:
         return [getattr(self, f) for f in self.QUALITY_FIELDS]
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.QUALITY_FIELDS + ("tokens_per_s",)}
-
 
 def tokenize(text: str) -> list[str]:
     return text.lower().split()

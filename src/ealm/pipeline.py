@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +28,8 @@ from .meter import (
 )
 from .metrics import MetricScores, score_outputs
 from .rank import CandidateRecord, TrainRecord
-from .tensors import (BundleError, Lineage, LmConfig, is_int, load_bundle, payload_bytes,
-                      read_tensors, save_bundle, write_atomic, write_tensors)
+from .tensors import (BundleError, Lineage, LmConfig, check_types, fits, load_bundle,
+                      payload_bytes, read_tensors, save_bundle, write_atomic, write_tensors)
 
 import numpy as np
 
@@ -67,20 +66,17 @@ class PipelineConfig:
     max_new_tokens: int = 32
 
     def __post_init__(self):
+        check_types(PipelineConfig, vars(self), ConfigError)
         if not self.bits_grid or not self.epochs_grid:
             raise ConfigError("bits_grid and epochs_grid must be nonempty")
         for p in self.nm_patterns:
-            if not isinstance(p, list) or len(p) != 2:
+            if len(p) != 2:
                 raise ConfigError(f"nm_patterns entry {p!r} is not an [n, m] pair")
-        counts = {"bits_grid": self.bits_grid, "seed": [self.seed],
-                  "nm_patterns": [x for p in self.nm_patterns for x in p],
-                  "epochs_grid": self.epochs_grid, "k": [self.k],
-                  "lora_rank": [self.lora_rank], "max_new_tokens": [self.max_new_tokens]}
-        for name, values in counts.items():
+        for name, values in (("epochs_grid", self.epochs_grid), ("k", [self.k]),
+                             ("lora_rank", [self.lora_rank]),
+                             ("max_new_tokens", [self.max_new_tokens])):
             for v in values:
-                if not is_int(v):
-                    raise ConfigError(f"{name}: {v!r} is not an integer")
-                if v < 1 and name in ("epochs_grid", "k", "lora_rank", "max_new_tokens"):
+                if v < 1:
                     raise ConfigError(f"{name} must be >= 1, got {v}")
         try:
             for b in self.bits_grid:
@@ -93,18 +89,14 @@ class PipelineConfig:
                             ("prune_ratios and nm_patterns", [v for v, _ in variants])):
             if len(set(cells)) < len(cells):
                 raise ConfigError(f"repeated candidate id from {what}: {cells}")
-        reals = {"w": self.w, "lr": self.lr, "lora_alpha": self.lora_alpha}
-        for name, v in reals.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"{name}: {v!r} is not a number")
         if not 0 <= self.w <= 1:
             raise ConfigError(f"w must be in [0, 1], got {self.w}")
         for name in ("lr", "lora_alpha"):
-            if not (math.isfinite(reals[name]) and reals[name] > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {reals[name]}")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         try:
             self.lm_config()
-        except (ValueError, TypeError) as e:
+        except ValueError as e:
             raise ConfigError(f"bad model shape: {e}") from e
 
     def prune_variants(self) -> list[tuple[str, prune_mod.PruneSpec | None]]:
@@ -127,9 +119,6 @@ class PipelineConfig:
             return MeterConfig(**self.meter)
         except TypeError as e:
             raise ConfigError(f"bad meter config: {e}") from e
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -304,7 +293,7 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
         for suffix, spec in config.prune_variants():
             cid = f"{parent.id}-{suffix}"
             lineage = dataclasses.replace(parent.lineage, parent_id=parent.id,
-                                          prune=spec.to_dict() if spec else None)
+                                          prune=dataclasses.asdict(spec) if spec else None)
             if merge_error is not None:
                 records.append(_failed(cid, lineage, "prune", merge_error))
                 continue
@@ -360,7 +349,7 @@ def _csv_row(rec: CandidateRecord, w: float) -> dict:
         "phi": rec.phi, "rho": rec.rho, "w": w, "R": rec.r_score,
     }
     if rec.scores:
-        row.update(rec.scores.to_dict())
+        row.update(dataclasses.asdict(rec.scores))
     if rec.energy:
         row.update({
             "cpu_joules": rec.energy.joules.get("cpu", 0.0),
@@ -389,7 +378,7 @@ def emit_report(records: list[CandidateRecord], baseline: CandidateRecord,
         for rec in ok
     }
     payload = {
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "baseline_id": baseline.id,
         "candidates": [r.to_dict() for r in records],
         "derived": derived,
@@ -472,8 +461,8 @@ def _adapters(tensors: dict, meta: dict, config: LmConfig) -> tinylm.LoraAdapter
     adapted (p, q) matrix one finite float32 A (p, rank) and B (rank, q) and
     nothing else. Anything else is a BundleError."""
     rank, alpha = meta.get("rank"), meta.get("alpha")
-    if sorted(meta) != ["alpha", "rank"] or not (is_int(rank) and rank >= 1
-                                                 and type(alpha) is float):
+    if sorted(meta) != ["alpha", "rank"] or not (fits(rank, int) and rank >= 1
+                                                 and fits(alpha, float)):
         raise BundleError(f"adapter meta {meta} is not an int rank and a float alpha")
     want = {f"{side}:{name}": (shape[0], rank) if side == "a" else (rank, shape[1])
             for name, shape in config.tensor_shapes().items()
@@ -535,13 +524,31 @@ def build_meter(config: PipelineConfig, override: str | None = None) -> Meter:
         raise ConfigError(f"bad meter config: {e}") from e
 
 
+# The staged files in stage order; each is derived from the ones before it.
+STAGED_FILES = ("candidates_loop1.json", "topk.json", "candidates_loop2.json",
+                "report.json", "report.csv", "report.md")
+
+
+def _remove_after(out: Path, name: str) -> None:
+    """Removes every staged file after `name`: each was derived from the
+    `name` of an earlier run, which the calling stage is about to replace."""
+    for later in STAGED_FILES[STAGED_FILES.index(name) + 1:]:
+        (out / later).unlink(missing_ok=True)
+
+
 def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
-    """Loop 1; writes candidates_loop1.json and artifacts/."""
+    """Loop 1; writes candidates_loop1.json and artifacts/, and removes the
+    later stages' files and every artifact it does not write."""
     train_records = _load_dataset(config.train_path, config.max_seq, train=True)
     eval_records = _load_dataset(config.eval_path, config.max_seq, train=False)
     records, artifacts = run_finetune_grid(config, meter, train_records, eval_records)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_after(out, "candidates_loop1.json")
+    written = {f"{cid}{suffix}" for cid in artifacts for suffix in (".ealm", ".adapters.ealm")}
+    for path in (out / "artifacts").glob("*.ealm"):
+        if path.name not in written:
+            path.unlink()
     save_candidates(records, out / "candidates_loop1.json")
     save_artifacts(artifacts, out)
     return records
@@ -559,24 +566,28 @@ def load_loop1(out_dir) -> tuple[list[CandidateRecord], CandidateRecord]:
 
 
 def rank_stage(config: PipelineConfig) -> list[CandidateRecord]:
-    """Top-k of loop 1 by R at `config.w`; writes topk.json."""
+    """Top-k of loop 1 by R at `config.w`; writes topk.json and removes the
+    later stages' files."""
     out = Path(config.out_dir)
     records, baseline = load_loop1(out)
     ok = [r for r in records if r.status == "ok"]
     _score(ok, config.w, baseline)  # w may differ from the one finetune-grid used
     topk = rank_mod.select_top_k(ok, config.k)
+    _remove_after(out, "topk.json")
     save_candidates(topk, out / "topk.json")
     return topk
 
 
 def prune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
-    """Loop 2 over topk.json's models; writes candidates_loop2.json."""
+    """Loop 2 over topk.json's models; writes candidates_loop2.json and
+    removes the reports."""
     eval_records = _load_dataset(config.eval_path, config.max_seq, train=False)
     out = Path(config.out_dir)
     _, baseline = load_loop1(out)
     topk = load_candidates(out / "topk.json")
     artifacts = load_artifacts([r.id for r in topk], out)
     records = run_prune_grid(topk, artifacts, config, meter, eval_records, baseline)
+    _remove_after(out, "candidates_loop2.json")
     save_candidates(records, out / "candidates_loop2.json")
     return records
 

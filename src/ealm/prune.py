@@ -42,9 +42,6 @@ class PruneSpec:
         else:
             raise PruneError(f"unknown method {self.method!r}")
 
-    def to_dict(self) -> dict:
-        return {"method": self.method, "ratio": self.ratio, "n": self.n, "m": self.m}
-
 
 def _magnitude_drop_order(values: np.ndarray) -> np.ndarray:
     # ascending |w|; among equal magnitudes the higher flat index drops first

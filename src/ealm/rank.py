@@ -7,11 +7,11 @@ metrics; throughput is reported alongside but never averaged in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .meter import EnergyReport, report_from_dict
 from .metrics import MetricScores
-from .tensors import Lineage, from_fields, is_int
+from .tensors import Lineage, fits, from_fields
 
 
 class RankError(Exception):
@@ -46,45 +46,33 @@ class CandidateRecord:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "lineage": self.lineage.to_dict(),
-            "scores": self.scores.to_dict() if self.scores else None,
-            "energy": self.energy.to_dict() if self.energy else None,
-            "phi": self.phi,
-            "rho": self.rho,
-            "R": self.r_score,
-            "baseline": self.baseline,
-            "stage": self.stage,
-            "status": self.status,
-            "error": self.error,
-            "train_records": [
-                {
-                    "epoch": tr.epoch,
-                    "loss": tr.loss,
-                    "energy": tr.energy.to_dict(),
-                }
-                for tr in self.train_records
-            ],
-            "extra": self.extra,
-        }
+        """`asdict` of the record, with `r_score` written as `R` and each
+        energy report as `EnergyReport.to_dict` writes it."""
+        d = asdict(self)
+        d["R"] = d.pop("r_score")
+        d["energy"] = self.energy.to_dict() if self.energy else None
+        for tr, out in zip(self.train_records, d["train_records"]):
+            out["energy"] = tr.energy.to_dict()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateRecord":
-        rec = cls(
-            id=d["id"], lineage=from_fields(Lineage, d["lineage"]),
-            scores=from_fields(MetricScores, d["scores"]) if d["scores"] is not None else None,
-            energy=report_from_dict(d["energy"]) if d["energy"] is not None else None,
-            phi=d["phi"], rho=d["rho"], r_score=d["R"],
-            baseline=d["baseline"], stage=d["stage"], status=d["status"], error=d["error"],
-            train_records=[TrainRecord(tr["epoch"], tr["loss"], report_from_dict(tr["energy"]))
-                           for tr in d["train_records"]],
-            extra=d["extra"])
+        """The record `to_dict` wrote, each value fitting its field's annotation;
+        anything else is a KeyError, TypeError or ValueError."""
+        nested = {
+            "lineage": from_fields(Lineage, d["lineage"]),
+            "scores": from_fields(MetricScores, d["scores"]) if d["scores"] is not None else None,
+            "energy": report_from_dict(d["energy"]) if d["energy"] is not None else None}
+        rec = from_fields(cls, {("r_score" if k == "R" else k): v
+                                for k, v in {**d, **nested}.items()})
+        rec.train_records = [
+            from_fields(TrainRecord, {**tr, "energy": report_from_dict(tr["energy"])})
+            for tr in rec.train_records]
         if rec.status == "ok" and (rec.scores is None or rec.energy is None):
             raise KeyError(f"record {rec.id!r} is ok but has no scores or energy")
         extra, want = rec.extra, OK_EXTRA_KEYS[rec.stage] if rec.status == "ok" else []
-        if (not isinstance(extra, dict) or sorted(extra) != want
-                or ("payload_bytes" in extra and not is_int(extra["payload_bytes"]))):
+        if sorted(extra) != want or ("payload_bytes" in extra
+                                     and not fits(extra["payload_bytes"], int)):
             raise KeyError(f"record {rec.id!r} ({rec.stage}, {rec.status}) has extra {extra!r}")
         if "eval_energy" in extra:
             report_from_dict(extra["eval_energy"])

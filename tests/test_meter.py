@@ -1,4 +1,5 @@
 import os
+import threading
 import time
 
 import numpy as np
@@ -204,6 +205,36 @@ def test_powercap_span_counts_a_wrap_between_each_pair_of_polls(tmp_path, monkey
     rep = meter.stop_span()
     # 900M -> 100M wraps (200M uJ), 100M -> 50M wraps (950M uJ)
     assert rep.joules["cpu"] == pytest.approx(1150.0, abs=1e-6)
+
+
+def test_powercap_read_that_fails_mid_span_fails_the_span(tmp_path, monkeypatch):
+    """A counter that cannot be read for one poll ends the sampler thread.
+    The wraps after it would go uncounted (two here: 150 J would be reported
+    where 1,150 J went through), so the span raises instead."""
+    monkeypatch.setattr(meter_mod, "SAMPLING_INTERVAL_S", 0.002)
+    counter = powercap_dir(tmp_path, uj=900_000_000, max_range=1_000_000_000)
+    failed, real = threading.Event(), meter_mod.read_powercap_counter
+
+    def read(path):
+        try:
+            return real(path)
+        except MeterError:
+            failed.set()
+            raise
+
+    monkeypatch.setattr(meter_mod, "read_powercap_counter", read)
+    meter = Meter(MeterConfig(source="powercap", powercap_paths={"cpu": str(counter)}))
+
+    def run():
+        write_counter(counter, "oops")
+        assert failed.wait(10.0), "the sampler thread never polled"
+        for uj in (100_000_000, 50_000_000):  # each below the one before: a wrap
+            write_counter(counter, uj)
+            time.sleep(0.02)  # ten polling intervals
+
+    with pytest.raises(MeterError, match="cannot read powercap counter"):
+        meter.measure(run)
+    assert meter.measure(len, "ab")[0] == 2  # the failed span closed
 
 
 def test_measure_closes_span_when_fn_raises(tmp_path):

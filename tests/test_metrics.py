@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -120,7 +121,7 @@ def test_score_outputs_contract():
     # the unscorable empty candidate counts as zero in the means
     assert s.rouge1_f == pytest.approx(0.5, abs=1e-12)
     assert s.tokens_per_s == 10.0
-    assert set(s.to_dict()) == set(MetricScores.QUALITY_FIELDS) | {"tokens_per_s"}
+    assert set(dataclasses.asdict(s)) == set(MetricScores.QUALITY_FIELDS) | {"tokens_per_s"}
     for v in s.quality_values():
         assert 0.0 <= v <= 1.0
 

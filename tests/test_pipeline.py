@@ -18,7 +18,7 @@ from ealm.data import DatasetRecord, generate_synthetic_corpus, load_jsonl, save
 from ealm.meter import Meter
 from ealm.metrics import MetricScores, score_outputs
 from ealm.quant import QuantSpec, quantize_bundle
-from ealm.rank import select_top_k
+from ealm.rank import CandidateRecord, select_top_k
 from ealm.tensors import (WEIGHT_MATRICES, BundleError, Lineage, LmConfig, from_fields,
                           load_bundle, read_tensors, save_bundle, write_tensors)
 from oracles import finetune_alone
@@ -74,7 +74,7 @@ def test_config_validation():
 def test_config_file_roundtrip(tmp_path):
     cfg = make_config(tmp_path)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg.to_dict()))
+    p.write_text(json.dumps(dataclasses.asdict(cfg)))
     loaded = pl.PipelineConfig.from_file(p)
     assert loaded == cfg
     bad = tmp_path / "bad.json"
@@ -88,7 +88,7 @@ def test_yaml_config_matches_its_json_twin(tmp_path, capsys):
 
     cfg = make_config(tmp_path)
     p = tmp_path / "cfg.yaml"
-    p.write_text(yaml.safe_dump(cfg.to_dict()))
+    p.write_text(yaml.safe_dump(dataclasses.asdict(cfg)))
     assert pl.PipelineConfig.from_file(p) == cfg
 
     bad = tmp_path / "bad.yml"
@@ -177,7 +177,7 @@ def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypa
     assert len(evaluated) == len(loop1) + len(loop2)
     assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1):]
     # the pipeline records what it pruned: each parent's variants in grid order
-    specs = [spec.to_dict() if spec else None for _, spec in cfg.prune_variants()]
+    specs = [dataclasses.asdict(spec) if spec else None for _, spec in cfg.prune_variants()]
     assert [r.lineage.prune for r in loop2] == specs * cfg.k
 
 
@@ -190,9 +190,9 @@ def test_readme_quickstart_config_loads():
 def test_readme_lineage_example_is_a_lineage():
     blocks = re.findall(r"```json\n(.*?)\n```", README.read_text(), re.S)
     example = json.loads(next(b for b in blocks if '"epochs_trained"' in b))
-    assert list(example) == list(Lineage().to_dict())
-    assert from_fields(Lineage, example).to_dict() == example
-    assert example["prune"] == prune_mod.PruneSpec("structured-nm", n=2, m=4).to_dict()
+    assert list(example) == list(dataclasses.asdict(Lineage()))
+    assert dataclasses.asdict(from_fields(Lineage, example)) == example
+    assert example["prune"] == dataclasses.asdict(prune_mod.PruneSpec("structured-nm", n=2, m=4))
 
 
 def test_select_topk_used_for_loop2_parents(tmp_path):
@@ -268,7 +268,7 @@ def test_too_long_eval_prompt_exits_3_before_any_work(tmp_path, capsys):
     cfg = make_config(tmp_path)
     line = add_long_prompt(cfg.eval_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     capsys.readouterr()
     assert cli.main(["run-all", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
@@ -284,7 +284,7 @@ def test_too_long_training_example_exits_3_before_any_work(tmp_path, capsys):
     # last 24 no model with max_seq 64 could train on
     line = add_long_prompt(cfg.train_path, n_bytes=73)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     capsys.readouterr()
     assert cli.main(["run-all", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
@@ -428,6 +428,37 @@ def test_epochs_grid_order_and_one_fine_tune_per_width(tmp_path, monkeypatch):
         assert scrub_volatile(rec.to_dict()) == scrub_volatile(by_id[rec.id].to_dict())
 
 
+def test_strict_readers_accept_what_the_writers_write(tmp_path, monkeypatch):
+    """Every record a run writes, a failed one included, reads back and
+    serializes to the same JSON, and every config and lineage survives
+    asdict -> from_fields: among them an int in a float field (`lora_alpha`)
+    and a None `sparsity`."""
+    cfg = make_config(tmp_path, lora_alpha=4, k=2)
+    real_score, real_save, calls, saved = pl.score_outputs, pl.save_candidates, [], []
+
+    def fail_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise tinylm.LmError("injected")
+        return real_score(*args)
+
+    def save(records, path):
+        saved.extend(records)
+        real_save(records, path)
+
+    monkeypatch.setattr(pl, "score_outputs", fail_first)
+    monkeypatch.setattr(pl, "save_candidates", save)
+    pl.run_all(cfg)
+    assert {r.stage for r in saved} == {"finetune", "prune"}
+    assert [r.id for r in saved if r.status == "failed"] == ["ft-b4-e1"]
+    for rec in saved:
+        text = json.dumps(rec.to_dict(), sort_keys=True)
+        back = CandidateRecord.from_dict(json.loads(text))
+        assert json.dumps(back.to_dict(), sort_keys=True) == text, rec.id
+    for obj in (cfg, cfg.meter_config(), cfg.lm_config(), *(r.lineage for r in saved)):
+        assert from_fields(type(obj), dataclasses.asdict(obj)) == obj
+
+
 def test_prune_error_fails_only_its_variant(tmp_path, monkeypatch):
     original = pl.prune_mod.prune_bundle
 
@@ -507,7 +538,7 @@ def test_programming_error_in_candidate_stops_the_run(tmp_path, monkeypatch):
         pl.run_all(cfg)
     # the CLI does not file a bug as a stage error: the traceback survives
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     with pytest.raises(TypeError, match="injected"):
         cli.main(["run-all", "--config", str(cfg_path)])
 
@@ -541,7 +572,7 @@ def test_cli_exit_codes(tmp_path):
 
     # an override is validated like the config file, before any training
     good_cfg = tmp_path / "good.json"
-    good_cfg.write_text(json.dumps(make_config(tmp_path).to_dict()))
+    good_cfg.write_text(json.dumps(dataclasses.asdict(make_config(tmp_path))))
     assert cli.main(["run-all", "--config", str(good_cfg), "--k", "0"]) == 2
     assert not (tmp_path / "out" / "candidates_loop1.json").exists()
 
@@ -559,7 +590,8 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     for field, commands in (("train_path", ["finetune-grid", "run-all"]),
                             ("eval_path", ["finetune-grid", "prune-grid", "run-all"])):
         cfg_path = tmp_path / f"{field}.json"
-        cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), field: str(bad_data)}))
+        cfg_path.write_text(json.dumps({**dataclasses.asdict(make_config(tmp_path)),
+                                        field: str(bad_data)}))
         cases += [([c, "--config", str(cfg_path)], 3, "stage error:", bad_data) for c in commands]
     for argv, code, prefix, named in cases:
         capsys.readouterr()
@@ -629,6 +661,12 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     # a domain with no report column would break cpu + ram + gpu = total
     pytest.param({"meter": {"constant_watts": {"cpu": 1, "tpu": 2}}}, None,
                  id="constant-watts-unknown-domain"),
+    # a value that does not fit its field's annotation
+    pytest.param({"prune_ratios": [float("nan")]}, None, id="prune-ratio-nan"),
+    pytest.param({"prune_ratios": [float("inf")]}, None, id="prune-ratio-inf"),
+    pytest.param({"train_path": 5}, None, id="train-path-int"),
+    pytest.param({"meter": {"source": "powercap", "powercap_paths": {"cpu": 5}}}, None,
+                 id="powercap-path-int"),
     pytest.param("yaml", None, id="yaml-without-pyyaml"),
 ])
 def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, overrides,
@@ -640,7 +678,7 @@ def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
         monkeypatch.setitem(sys.modules, "yaml", None)
         overrides = {}
     if overrides is not None:
-        cfg_path.write_text(json.dumps({**make_config(tmp_path).to_dict(), **overrides}))
+        cfg_path.write_text(json.dumps({**dataclasses.asdict(make_config(tmp_path)), **overrides}))
     argv = ["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if meter_spec:
         argv += ["--meter", meter_spec.format(tmp=tmp_path)]
@@ -677,7 +715,7 @@ def test_unmetered_stages_reject_meter(tmp_path, command):
 def test_cli_run_all_smoke(tmp_path):
     cfg = make_config(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert cli.main(["run-all", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "report.json").exists()
 
@@ -687,7 +725,7 @@ def write_trace_config(tmp_path):
     trace.write_text("0.0,cpu,10.0\n1.0,cpu,10.0\n")
     cfg = make_config(tmp_path, meter={"source": "trace-replay", "trace_path": str(trace)})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     return cfg, cfg_path
 
 
@@ -712,9 +750,44 @@ def test_cli_staged_flow(tmp_path):
         assert scrub_volatile(whole) == scrub_volatile(staged), name
 
 
+REPORTS = ("report.json", "report.csv", "report.md")
+
+
+def test_finetune_grid_leaves_nothing_derived_from_the_old_loop1(tmp_path, capsys):
+    """A new loop 1 into an out dir that holds a whole earlier run: no later
+    stage may resume from the old top-k, loop 2 or artifacts."""
+    cfg, cfg_path = write_trace_config(tmp_path)
+    assert cli.main(["run-all", "--config", str(cfg_path)]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(dataclasses.asdict(cfg), bits_grid=[8, 16])))
+    assert cli.main(["finetune-grid", "--config", str(other)]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in (out / "artifacts").iterdir()) == [
+        f"ft-b{b}-e1{s}" for b in (16, 8) for s in (".adapters.ealm", ".ealm")]
+    assert not any((out / n).exists() for n in ("topk.json", "candidates_loop2.json", *REPORTS))
+    capsys.readouterr()
+    assert cli.main(["prune-grid", "--config", str(other)]) == 3
+    assert "topk.json" in capsys.readouterr().err
+    assert cli.main(["report", "--config", str(other)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["id"] for c in report["candidates"]] == ["ft-b8-e1", "ft-b16-e1"]
+
+
+def test_rank_and_prune_grid_remove_the_files_derived_from_theirs(tmp_path):
+    _, cfg_path = write_trace_config(tmp_path)
+    args = ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert cli.main(["run-all"] + args) == 0
+    assert cli.main(["rank"] + args) == 0
+    assert not any((out / n).exists() for n in ("candidates_loop2.json", *REPORTS))
+    assert cli.main(["prune-grid"] + args) == 0
+    assert (out / "candidates_loop2.json").exists()
+    assert not any((out / n).exists() for n in REPORTS)
+
+
 def test_w_override_after_loop1_rescores(tmp_path):
     cfg, cfg_path = write_trace_config(tmp_path)
-    cfg_path.write_text(json.dumps(dict(cfg.to_dict(), epochs_grid=[1, 2])))
+    cfg_path.write_text(json.dumps(dict(dataclasses.asdict(cfg), epochs_grid=[1, 2])))
     assert cfg.w == 0.7
     args = ["--config", str(cfg_path)]
     assert cli.main(["finetune-grid"] + args) == 0
@@ -792,6 +865,19 @@ def ranked_state(tmp_path_factory):
     ("prune-grid", "record:eval-energy-no-duration:candidates_loop1.json"),
     ("report", "record:joules-string:candidates_loop1.json"),
     ("report", "record:two-baselines:candidates_loop1.json"),
+    ("report", "record:not-an-object:candidates_loop1.json"),
+    # a record value that does not fit its field's annotation
+    ("report", "record:loss-string:candidates_loop1.json"),
+    ("rank", "record:bleu-string:candidates_loop1.json"),
+    ("report", "record:id-int:candidates_loop1.json"),
+    ("rank", "record:bleu-nan:candidates_loop1.json"),
+    ("report", "record:precision-bits-string:candidates_loop1.json"),
+    ("prune-grid", "record:epoch-string:candidates_loop1.json"),
+    ("rank", "record:error-int:candidates_loop1.json"),
+    ("report", "record:baseline-int:candidates_loop1.json"),
+    ("prune-grid", "record:train-records-dict:candidates_loop1.json"),
+    # a bundle whose metadata holds a key besides config and lineage
+    ("prune-grid", "meta-key:artifacts/{top}.ealm"),
     # an .ealm file that goes on after its metadata
     ("prune-grid", "appended:artifacts/{top}.ealm"),
     ("prune-grid", "appended:artifacts/{top}.adapters.ealm"),
@@ -856,10 +942,32 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
             del base["extra"]["eval_energy"]["duration_s"]
         elif damage == "joules-string":
             base["energy"]["joules"]["cpu"] = "x"
-        else:
+        elif damage == "two-baselines":
             for r in recs:
                 r["baseline"] = True
+        elif damage == "not-an-object":
+            recs.append([recs[0]])
+        else:
+            field, value = {
+                "loss-string": ("train_records.0.loss", "0.5"),
+                "bleu-string": ("scores.bleu", "0.5"),
+                "id-int": ("id", 7),
+                "bleu-nan": ("scores.bleu", float("nan")),
+                "precision-bits-string": ("lineage.precision_bits", "32"),
+                "epoch-string": ("train_records.0.epoch", "1"),
+                "error-int": ("error", 0),
+                "baseline-int": ("baseline", 1),
+                "train-records-dict": ("train_records", {}),
+            }[damage]
+            *path, key = field.split(".")
+            for step in path:
+                base = base[int(step) if step.isdigit() else step]
+            base[key] = value
         victim.write_text(json.dumps(recs))
+    elif missing and missing.startswith("meta-key:"):
+        victim = out / missing.removeprefix("meta-key:").format(top=top)
+        tensors, meta = read_tensors(victim)
+        write_tensors(victim, tensors, {**meta, "junk": 1})
     elif missing and missing.startswith("appended:"):
         victim = out / missing.removeprefix("appended:").format(top=top)
         victim.write_bytes(victim.read_bytes() + bytes(23))

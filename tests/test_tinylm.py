@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def test_init_deterministic_and_shapes():
     a.validate()
     assert a.tensors["tok_emb"].shape == (CFG.vocab_size, CFG.d_model)
 
-    other = init_model(LmConfig(**{**CFG.to_dict(), "init_seed": 2}))
+    other = init_model(dataclasses.replace(CFG, init_seed=2))
     assert not np.array_equal(other.tensors["tok_emb"], a.tensors["tok_emb"])
 
 
