@@ -59,6 +59,8 @@ class CandidateRecord:
     def from_dict(cls, d: dict) -> "CandidateRecord":
         """The record `to_dict` wrote, each value fitting its field's annotation;
         anything else is a KeyError, TypeError or ValueError."""
+        if "r_score" in d:
+            raise KeyError(f"record holds 'r_score'; R is written as 'R': {d!r}")
         nested = {
             "lineage": from_fields(Lineage, d["lineage"]),
             "scores": from_fields(MetricScores, d["scores"]) if d["scores"] is not None else None,
@@ -68,6 +70,8 @@ class CandidateRecord:
         rec.train_records = [
             from_fields(TrainRecord, {**tr, "energy": report_from_dict(tr["energy"])})
             for tr in rec.train_records]
+        if rec.stage not in OK_EXTRA_KEYS or rec.status not in ("ok", "failed"):
+            raise ValueError(f"record {rec.id!r} has stage {rec.stage!r} and status {rec.status!r}")
         if rec.status == "ok" and (rec.scores is None or rec.energy is None):
             raise KeyError(f"record {rec.id!r} is ok but has no scores or energy")
         extra, want = rec.extra, OK_EXTRA_KEYS[rec.stage] if rec.status == "ok" else []

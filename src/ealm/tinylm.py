@@ -10,6 +10,7 @@ mean next-token cross-entropy, updating the adapter factors A and B only.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -26,6 +27,11 @@ SEP_BYTE = 10  # newline separates prompt from continuation
 
 LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
+# float32 operands for float32 scalar and array arithmetic: before NEP 50
+# (NumPy < 2) a Python float with a float32 scalar gives float64.
+_F32_EPS, _F32_GELU_C, _F32_GELU_A = np.float32(LN_EPS), np.float32(_GELU_C), np.float32(0.044715)
+_F32_HALF, _F32_ONE = np.float32(0.5), np.float32(1.0)
+_f32 = functools.cache(np.float32)  # keyed by row width: ~0.1 us a hit, ~0.5 us to build
 
 
 class LmError(Exception):
@@ -122,16 +128,28 @@ def init_adapters(config: LmConfig, rank: int = 4, alpha: float = 8.0, seed: int
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    # The ufunc reductions `ndarray.max`/`sum` run, without their wrappers.
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    # The ufunc reductions `ndarray.max`/`sum` run, without their wrappers;
+    # the one new array is worked on in place.
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-GELU of `x`, and the tanh that `_gelu_grad` reuses. Powers are
-    products: numpy's float32 `x**3` is ~100x slower than `x * x * x`."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    products: numpy's float32 `x**3` is ~100x slower than `x * x * x`. The
+    products and sums of 0.5 * x * (1 + tanh(c * (x + a * x*x*x))) run in
+    place, in that order."""
+    t = x * x
+    t *= x
+    t *= _F32_GELU_A
+    t += x
+    t *= _F32_GELU_C
+    np.tanh(t, out=t)
+    g = _F32_HALF * x
+    g *= _F32_ONE + t
+    return g, t
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -149,8 +167,21 @@ def _nll(logits: np.ndarray, seq):
 
 
 def _layernorm(x, g, b):
-    # The float32 sums and divisions `ndarray.mean`/`var` perform, without
-    # their Python wrappers; the centred `xc` is computed once.
+    """Layer norm over the last axis, and the (xhat, inv, g) its backward
+    needs. It runs the float32 sums and divisions `ndarray.mean`/`var`
+    perform, without their Python wrappers; the centred `xc` is computed once.
+
+    A one-row `x` (a decode step) takes its mean and inverse scale as float32
+    scalars: a reduction over the whole (1, n) array sums the same n values
+    in the same order as one over its last axis, and a float32 scalar op
+    rounds as the same op on a (1, 1) array does, at a tenth of its cost.
+    The cache's `inv` is still (1, 1)."""
+    if x.ndim == 2 and len(x) == 1:
+        n = _f32(x.shape[1])
+        xc = x - np.add.reduce(x, None) / n
+        inv = _F32_ONE / np.sqrt(np.add.reduce(xc * xc, None) / n + _F32_EPS)
+        xhat = xc * inv
+        return g * xhat + b, (xhat, np.array(inv, ndmin=2), g)
     n = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + LN_EPS)
@@ -172,9 +203,13 @@ def _layernorm_backward(dy, cache):
 @dataclass
 class KvCache:
     """What `TinyLm.forward_cached` keeps between calls that continue one
-    sequence under one (model, adapters) pair: per layer, the keys and values
-    of the `length` positions seen so far, each (heads, length, d_head), and
-    the effective weight matrices, built on first use."""
+    sequence under one (model, adapters) pair. Per layer: the effective
+    weight matrices, and a key and a value buffer of `max_seq` positions,
+    each (heads, max_seq, d_head), all made on first use. A call writes its
+    positions' keys and values in place, and attention reads the
+    `[:, :length]` views. Keys are not stored transposed: q @ (a
+    (d_head, max_seq) buffer) takes another BLAS kernel than q @ k.T and
+    rounds differently."""
     length: int = 0
     k: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -186,9 +221,13 @@ class TinyLm:
 
     def __init__(self, bundle: ModelBundle):
         self.config = bundle.config
-        self.w = {name: dequantize(t) for name, t in bundle.tensors.items()}
+        # Norm gains and biases are (1, d) rows: a one-row g * xhat + b then
+        # does not broadcast.
+        self.w = {name: dequantize(t).reshape(1, -1) if name.endswith((".g", ".b"))
+                  else dequantize(t) for name, t in bundle.tensors.items()}
         self.n_heads = self.config.n_heads
         self.d_head = self.config.d_model // self.n_heads
+        self.sqrt_d_head = np.float32(math.sqrt(self.d_head))
 
     def _eff(self, name: str, adapters: LoraAdapters | None) -> np.ndarray:
         w = self.w[name]
@@ -203,7 +242,8 @@ class TinyLm:
         if start + ids.size > self.config.max_seq:
             raise LmError(f"sequence length {start + ids.size} exceeds max_seq "
                           f"{self.config.max_seq}")
-        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
+        lo, hi = (ids[0], ids[0]) if ids.size == 1 else (ids.min(), ids.max())
+        if lo < 0 or hi >= self.config.vocab_size:
             raise LmError(f"token id out of range [0, {self.config.vocab_size})")
         return ids
 
@@ -217,14 +257,16 @@ class TinyLm:
     def forward_cached(self, tokens, adapters: LoraAdapters | None = None,
                        kv: KvCache | None = None):
         """Logits of `tokens` and the activations backward needs. With `kv`,
-        `tokens` continue the sequence the cache holds, and their keys and
-        values are appended to it."""
+        `tokens` continue the sequence the cache holds, their keys and values
+        are written into it, and no activations are kept: the second item is
+        None, as a cached forward is never differentiated."""
         start = kv.length if kv is not None else 0
         ids = self._check_tokens(tokens, start)
         T = ids.size
-        x = (self.w["tok_emb"][ids] + self.w["pos_emb"][start:start + T]).astype(np.float32)
+        end = start + T
+        x = self.w["tok_emb"][ids] + self.w["pos_emb"][start:end]
         # One new token may attend to every cached position: no mask to add.
-        causal = (np.triu(np.full((T, start + T), -1e9, dtype=np.float32), k=start + 1)
+        causal = (np.triu(np.full((T, end), -1e9, dtype=np.float32), k=start + 1)
                   if T > 1 else None)
         layers = []
         for i in range(self.config.n_layers):
@@ -235,29 +277,35 @@ class TinyLm:
             q = self._split_heads(h @ w["attn.wq"])
             k = self._split_heads(h @ w["attn.wk"])
             v = self._split_heads(h @ w["attn.wv"])
-            if cached:
-                k = kv.k[i] = np.concatenate([kv.k[i], k], axis=1)
-                v = kv.v[i] = np.concatenate([kv.v[i], v], axis=1)
-            elif kv is not None:
-                kv.w.append(w)
-                kv.k.append(k)
-                kv.v.append(v)
-            scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_head)
+            if kv is not None:
+                if not cached:
+                    shape = (self.n_heads, self.config.max_seq, self.d_head)
+                    kv.w.append(w)
+                    kv.k.append(np.empty(shape, dtype=np.float32))
+                    kv.v.append(np.empty(shape, dtype=np.float32))
+                kv.k[i][:, start:end] = k
+                kv.v[i][:, start:end] = v
+                k, v = kv.k[i][:, :end], kv.v[i][:, :end]
+            scores = q @ k.transpose(0, 2, 1)
+            scores /= self.sqrt_d_head
             if causal is not None:
                 scores += causal
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
-            x = x + o @ w["attn.wo"]
+            x += o @ w["attn.wo"]
             h2, ln2c = _layernorm(x, self.w[p + "ln2.g"], self.w[p + "ln2.b"])
             u = h2 @ w["mlp.w1"]
             g, gt = _gelu(u)
-            x = x + g @ w["mlp.w2"]
-            layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
-                               o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
-        if kv is not None:
-            kv.length += T
+            x += g @ w["mlp.w2"]
+            if kv is None:
+                layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
+                                   o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
         xf, lnfc = _layernorm(x, self.w["ln_f.g"], self.w["ln_f.b"])
-        return (xf @ self.w["head"]).astype(np.float32), dict(layers=layers, lnfc=lnfc)
+        logits = xf @ self.w["head"]
+        if kv is None:
+            return logits, dict(layers=layers, lnfc=lnfc)
+        kv.length = end
+        return logits, None
 
     def _backward_io(self, dlogits, cache, adapted_names):
         """Propagate dL/dlogits back; return, per adapted matrix, its
@@ -275,7 +323,7 @@ class TinyLm:
             dprobs = do @ lc["v"].transpose(0, 2, 1)
             dv = self._merge_heads(lc["probs"].transpose(0, 2, 1) @ do)
             dscores = (dprobs - (dprobs * lc["probs"]).sum(axis=-1, keepdims=True)) * lc["probs"]
-            dscores /= math.sqrt(self.d_head)
+            dscores /= self.sqrt_d_head
             dq = self._merge_heads(dscores @ lc["k"])
             dk = self._merge_heads(dscores.transpose(0, 2, 1) @ lc["q"])
             dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
@@ -340,7 +388,7 @@ def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new:
         if len(seq) >= model.config.max_seq:
             break
         logits = model.forward_cached(new, adapters, kv)[0]
-        nxt = int(np.argmax(logits[-1]))  # argmax breaks ties toward lowest id
+        nxt = int(logits[-1].argmax())  # argmax breaks ties toward lowest id
         seq.append(nxt)
         if nxt == EOS_ID:
             break

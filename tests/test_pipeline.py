@@ -876,6 +876,11 @@ def ranked_state(tmp_path_factory):
     ("rank", "record:error-int:candidates_loop1.json"),
     ("report", "record:baseline-int:candidates_loop1.json"),
     ("prune-grid", "record:train-records-dict:candidates_loop1.json"),
+    # a failed record whose stage or status is no value the pipeline writes,
+    # and a record whose R is also held under its field name
+    ("rank", "record:failed-stage-bogus:candidates_loop1.json"),
+    ("rank", "record:failed-status-weird:candidates_loop1.json"),
+    ("rank", "record:stray-r-score:candidates_loop1.json"),
     # a bundle whose metadata holds a key besides config and lineage
     ("prune-grid", "meta-key:artifacts/{top}.ealm"),
     # an .ealm file that goes on after its metadata
@@ -947,6 +952,14 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
                 r["baseline"] = True
         elif damage == "not-an-object":
             recs.append([recs[0]])
+        elif damage.startswith("failed-"):
+            other = next(r for r in recs if not r["baseline"])
+            other.update(status="failed", error="LmError: injected", scores=None, energy=None,
+                         phi=0.0, rho=0.0, R=0.0, train_records=[], extra={})
+            other.update({"failed-stage-bogus": {"stage": "bogus"},
+                          "failed-status-weird": {"status": "weird"}}[damage])
+        elif damage == "stray-r-score":
+            base["r_score"] = base["R"] + 1.0
         else:
             field, value = {
                 "loss-string": ("train_records.0.loss", "0.5"),

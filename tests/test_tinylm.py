@@ -274,7 +274,7 @@ def test_kv_cache_chunks_match_full_forward(monkeypatch):
             assert np.array_equal(steps[adapters is None, n], step(adapters, n))
 
 
-@pytest.mark.parametrize("shape", [(1, 32), (17, 32), (9, 128), (2, 5, 7)])
+@pytest.mark.parametrize("shape", [(1, 32), (17, 32), (9, 128), (2, 5, 7), (1, 48), (1, 128)])
 def test_layernorm_and_softmax_keep_the_ndarray_method_bits(shape):
     rng = np.random.default_rng(sum(shape))
     for scale in (1e-3, 1.0, 50.0):
@@ -284,6 +284,7 @@ def test_layernorm_and_softmax_keep_the_ndarray_method_bits(shape):
         dy = rng.standard_normal(shape).astype(np.float32)
         y, cache = tinylm._layernorm(x, g, b)
         y_ref, cache_ref = oracles.layernorm(x, g, b)
+        assert y.dtype == cache[1].dtype == np.float32
         assert np.array_equal(y, y_ref)
         assert all(np.array_equal(c, c_ref) for c, c_ref in zip(cache, cache_ref))
         assert np.array_equal(tinylm._layernorm_backward(dy, cache),
@@ -300,6 +301,30 @@ def test_kv_cache_rejects_overflow_and_keeps_its_state():
     assert kv.length == CFG.max_seq - 1
     assert model.forward_cached([SEP_BYTE], None, kv)[0].shape == (1, CFG.vocab_size)
     assert kv.length == CFG.max_seq
+
+
+def test_no_result_is_overwritten_by_a_later_step_or_call():
+    """Decode reuses its buffers and works on temporaries in place: a step's
+    logits, a second decode, the weights and the adapters must not see it."""
+    model, adapters, seqs = trained_setup()
+    weights = {n: t.tobytes() for n, t in model.w.items()}
+    factors = [t.tobytes() for t in (*adapters.a.values(), *adapters.b.values())]
+    prompt = encode_prompt("fault e01 link")
+    kv = KvCache()
+    held = [model.forward_cached(prompt, adapters, kv)[0]]
+    copies = [held[0].copy()]
+    for tok in (SEP_BYTE, BOS_ID, 65):
+        held.append(model.forward_cached([tok], adapters, kv)[0])
+        copies.append(held[-1].copy())
+    assert all(np.array_equal(h, c) for h, c in zip(held, copies))
+    first = greedy_decode(model, adapters, prompt, 24)
+    assert greedy_decode(model, adapters, prompt, 24) == first
+    assert greedy_decode(TinyLm(init_model(CFG)), adapters, prompt, 24) == first
+    assert {n: t.tobytes() for n, t in model.w.items()} == weights
+    assert [t.tobytes() for t in (*adapters.a.values(), *adapters.b.values())] == factors
+    train_epoch(model, adapters, seqs, lr=0.05)
+    assert {n: t.tobytes() for n, t in model.w.items()} == weights
+    assert [t.tobytes() for t in (*adapters.a.values(), *adapters.b.values())] == factors
 
 
 def reference_decode(model, adapters, prompt, max_new):
