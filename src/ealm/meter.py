@@ -163,6 +163,9 @@ class Meter:
             except (OSError, ValueError) as e:
                 raise MeterError(f"cannot read trace {config.trace_path}: {e}") from e
             self._trace_joules = integrate(samples)
+            if not set(self._trace_joules) <= set(DOMAINS):
+                raise MeterError(f"trace {config.trace_path} has domains "
+                                 f"{sorted(self._trace_joules)}, not all among {DOMAINS}")
             total = sum(self._trace_joules.values())
             if not (math.isfinite(total) and total > 0):
                 raise MeterError(f"trace {config.trace_path} integrates to {total} J, "

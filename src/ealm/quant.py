@@ -35,32 +35,24 @@ class QuantSpec:
             raise QuantError(f"bits must be one of {VALID_BITS}, got {self.bits}")
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise QuantError("non-finite values in tensor")
-
-
-def _per_row(scales: np.ndarray, ndim: int) -> np.ndarray:
-    """`scales` shaped to broadcast one scale over each row of an `ndim`
-    tensor; a single scale broadcasts over the whole tensor (a 0-D one too)."""
-    return scales.reshape(scales.shape[:ndim] + (1,) * (ndim - 1))
-
-
 def quantize(arr: np.ndarray, spec: QuantSpec):
     """Quantize one dense float32 tensor at the requested bit width. Integer
-    codes get one scale per row of a matrix and one scale for a 1-D tensor."""
+    codes are for weight matrices, with one scale per row; binary16 and
+    float32 take any shape."""
     arr = np.asarray(arr, dtype=np.float32)
-    _check_finite(arr)
+    if not np.all(np.isfinite(arr)):
+        raise QuantError("non-finite values in tensor")
     if spec.bits == 32:
         return arr.copy()
     if spec.bits == 16:
         return arr.astype(np.float16)  # numpy converts with round-to-nearest-even
+    if arr.ndim != 2:
+        raise QuantError(f"{spec.bits}-bit codes are for a matrix, not shape {arr.shape}")
     qmax = QMAX[spec.bits]
-    rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-    amax = np.abs(rows).max(axis=1)
+    amax = np.abs(arr).max(axis=1)
     scales = (amax / qmax).astype(np.float32)
     scales[amax == 0] = 1.0  # all-zero row convention: scale 1, codes 0
-    x = arr.astype(np.float64) / _per_row(scales, arr.ndim)
+    x = arr.astype(np.float64) / scales[:, None]
     codes = np.sign(x) * np.floor(np.abs(x) + 0.5)  # half away from zero
     codes = np.clip(codes, -qmax, qmax).astype(np.int8)
     return QuantizedTensor(shape=tuple(arr.shape), bits=spec.bits, codes=codes, scales=scales)
@@ -69,9 +61,8 @@ def quantize(arr: np.ndarray, spec: QuantSpec):
 def dequantize(t) -> np.ndarray:
     """Back to float32: code * scale for integer codes, upcast for float16."""
     if isinstance(t, QuantizedTensor):
-        return t.codes.astype(np.float32) * _per_row(t.scales, t.codes.ndim)
-    t = np.asarray(t)
-    return t.astype(np.float32)
+        return t.codes.astype(np.float32) * t.scales[:, None]
+    return np.asarray(t).astype(np.float32)
 
 
 def quantize_bundle(bundle: ModelBundle, spec: QuantSpec) -> ModelBundle:

@@ -132,8 +132,8 @@ class LmConfig:
 
 @dataclass
 class QuantizedTensor:
-    """Symmetric integer codes with one float32 scale per row (one scale for a
-    1-D tensor).
+    """Symmetric integer codes of a weight matrix, with one float32 scale per
+    row.
 
     ``codes`` is kept unpacked (one int8 per element) in memory; 4-bit codes
     are nibble-packed only on disk.
@@ -142,7 +142,7 @@ class QuantizedTensor:
     shape: tuple[int, ...]
     bits: int  # 4 or 8
     codes: np.ndarray  # int8, shape == self.shape
-    scales: np.ndarray  # float32, (rows,) for a matrix, else (1,)
+    scales: np.ndarray  # float32, (rows,)
 
     @property
     def size(self) -> int:
@@ -175,9 +175,9 @@ class ModelBundle:
                 raise BundleError(
                     f"tensor {name!r}: shape {shape} != expected {required[name]}"
                 )
-            rows = shape[0] if len(shape) > 1 else 1
-            if isinstance(t, QuantizedTensor) and t.scales.size != rows:
-                raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {rows} rows")
+            if isinstance(t, QuantizedTensor) and (len(shape) != 2 or t.scales.size != shape[0]):
+                rows = f"{shape[0]} rows" if len(shape) == 2 else f"shape {shape}, not a matrix"
+                raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {rows}")
             if isinstance(t, np.ndarray) and not np.all(np.isfinite(t.astype(np.float32))):
                 raise BundleError(f"tensor {name!r} has non-finite values")
 
@@ -198,8 +198,8 @@ def _encode(t) -> tuple[int, bytes]:
     if isinstance(t, QuantizedTensor):
         codes = t.codes.reshape(-1).astype(np.int8)
         body = codes if t.bits == 8 else pack_nibbles(codes)
-        # granularity byte: 1 for a matrix (a scale per row), 0 for any other tensor
-        head = struct.pack("<BI", len(t.shape) > 1, t.scales.size)
+        # granularity byte 1: a scale per row of a matrix, the only granularity
+        head = struct.pack("<BI", 1, t.scales.size)
         return (DTYPE_I8 if t.bits == 8 else DTYPE_I4,
                 head + t.scales.astype("<f4").tobytes() + body.tobytes())
     if t.dtype == np.float16:
@@ -223,8 +223,7 @@ def _decode(context: str, dtype_code: int, dims: tuple[int, ...], payload: bytes
         bits = 8 if dtype_code == DTYPE_I8 else 4
         gran, n_scales = struct.unpack_from("<BI", payload)
         body = payload[5 + 4 * n_scales:]
-        matrix = len(dims) > 1
-        if (gran != matrix or n_scales != (dims[0] if matrix else 1)
+        if (gran != 1 or len(dims) != 2 or n_scales != dims[0]
                 or len(body) != (n * bits + 7) // 8):
             raise ValueError
         scales = np.frombuffer(payload, dtype="<f4", count=n_scales, offset=5).copy()

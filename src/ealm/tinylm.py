@@ -96,16 +96,21 @@ def init_model(config: LmConfig) -> ModelBundle:
 class LoraAdapters:
     rank: int
     alpha: float
-    a: dict[str, np.ndarray]  # name -> (p, r)
-    b: dict[str, np.ndarray]  # name -> (r, q)
+    a: dict[str, np.ndarray]  # each weight matrix's name -> (p, r)
+    b: dict[str, np.ndarray]  # each weight matrix's name -> (r, q)
 
     @property
     def scaling(self) -> float:
         return self.alpha / self.rank
 
+    def delta(self, name: str) -> np.ndarray:
+        d = self.a[name] @ self.b[name]
+        d *= self.scaling
+        return d
+
     def step(self, grads: dict[str, tuple[np.ndarray, np.ndarray]], lr: float) -> "LoraAdapters":
-        a = {n: (self.a[n] - lr * grads[n][0]).astype(np.float32) for n in self.a}
-        b = {n: (self.b[n] - lr * grads[n][1]).astype(np.float32) for n in self.b}
+        a = {n: self.a[n] - lr * grads[n][0] for n in self.a}
+        b = {n: self.b[n] - lr * grads[n][1] for n in self.b}
         return LoraAdapters(self.rank, self.alpha, a, b)
 
 
@@ -230,15 +235,18 @@ class TinyLm:
         self.sqrt_d_head = np.float32(math.sqrt(self.d_head))
 
     def _eff(self, name: str, adapters: LoraAdapters | None) -> np.ndarray:
-        w = self.w[name]
-        if adapters is not None and name in adapters.a:
-            w = w + adapters.scaling * (adapters.a[name] @ adapters.b[name])
-        return w.astype(np.float32, copy=False)
+        if adapters is None:
+            return self.w[name]
+        w = adapters.delta(name)  # a new array: adding w in place gives w + delta's bits
+        w += self.w[name]
+        return w
 
     def _check_tokens(self, tokens, start: int) -> np.ndarray:
-        ids = np.asarray(tokens, dtype=np.int64)
+        ids = np.asarray(tokens)
         if ids.size == 0:
             raise LmError("empty token sequence")
+        if ids.dtype.kind not in "iu":  # a float id would be truncated, a bool read as 0/1
+            raise LmError(f"token ids must be integers, got dtype {ids.dtype}")
         if start + ids.size > self.config.max_seq:
             raise LmError(f"sequence length {start + ids.size} exceeds max_seq "
                           f"{self.config.max_seq}")
@@ -307,10 +315,10 @@ class TinyLm:
         kv.length = end
         return logits, None
 
-    def _backward_io(self, dlogits, cache, adapted_names):
-        """Propagate dL/dlogits back; return, per adapted matrix, its
-        (input, output gradient) pair, so that dL/dW_eff = input.T @ output
-        gradient without forming that p x q product."""
+    def _backward_io(self, dlogits, cache):
+        """Propagate dL/dlogits back to each weight matrix's (input, output
+        gradient) pair, so dL/dW_eff = input.T @ output gradient is never formed
+        as p x q. The embeddings are frozen: the pass stops at layer 0's pairs."""
         io = {}
         dx = _layernorm_backward(dlogits @ self.w["head"].T, cache["lnfc"])
         for lc in reversed(cache["layers"]):
@@ -326,13 +334,12 @@ class TinyLm:
             dscores /= self.sqrt_d_head
             dq = self._merge_heads(dscores @ lc["k"])
             dk = self._merge_heads(dscores.transpose(0, 2, 1) @ lc["q"])
-            dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
-            table = {"attn.wq": (lc["h"], dq), "attn.wk": (lc["h"], dk), "attn.wv": (lc["h"], dv),
-                  "attn.wo": (lc["o"], dx1), "mlp.w1": (lc["h2"], du), "mlp.w2": (lc["g"], dx)}
-            for m, pair in table.items():
-                if p + m in adapted_names:
-                    io[p + m] = pair
-            dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
+            io.update({p + "attn.wq": (lc["h"], dq), p + "attn.wk": (lc["h"], dk),
+                       p + "attn.wv": (lc["h"], dv), p + "attn.wo": (lc["o"], dx1),
+                       p + "mlp.w1": (lc["h2"], du), p + "mlp.w2": (lc["g"], dx)})
+            if lc is not cache["layers"][0]:
+                dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
+                dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
         return io
 
     def loss_and_grads(self, seq, adapters: LoraAdapters):
@@ -349,7 +356,7 @@ class TinyLm:
         s = adapters.scaling
         grads = {name: (s * (inp.T @ (dout @ adapters.b[name].T)),
                         s * ((inp @ adapters.a[name]).T @ dout))
-                 for name, (inp, dout) in self._backward_io(dlogits, cache, set(adapters.a)).items()}
+                 for name, (inp, dout) in self._backward_io(dlogits, cache).items()}
         return nll / targets.size, grads
 
 
@@ -402,8 +409,7 @@ def merge_adapters(bundle: ModelBundle, adapters: LoraAdapters) -> ModelBundle:
     bits `quantize` is a copy, so this is the float32 sum."""
     spec = QuantSpec(bundle.lineage.precision_bits)
     tensors = {
-        name: quantize(dequantize(t) + adapters.scaling * (adapters.a[name] @ adapters.b[name]),
-                       spec) if name in adapters.a else t
+        name: quantize(dequantize(t) + adapters.delta(name), spec) if name in adapters.a else t
         for name, t in bundle.tensors.items()
     }
     return ModelBundle(tensors=tensors, config=bundle.config,

@@ -136,6 +136,17 @@ def test_trace_replay(tmp_path):
     assert rep2.joules == rep.joules
 
 
+def test_trace_replay_refuses_a_domain_without_a_report_column(tmp_path):
+    # its joules would count in total_joules, but no cpu/ram/gpu column shows them
+    trace = tmp_path / "t.csv"
+    trace.write_text("0.0,cpu,10.0\n1.0,cpu,10.0\n0.0,disk,5.0\n1.0,disk,5.0\n")
+    with pytest.raises(MeterError, match="disk"):
+        Meter(MeterConfig(source="trace-replay", trace_path=str(trace)))
+    trace.write_text("0.0,cpu,10.0\n1.0,cpu,10.0\n0.0,gpu,5.0\n1.0,gpu,5.0\n")
+    meter = Meter(MeterConfig(source="trace-replay", trace_path=str(trace)))
+    assert meter.measure(len, "")[1].joules == {"cpu": 10.0, "ram": 0.0, "gpu": 5.0}
+
+
 def test_trace_replay_requires_path():
     with pytest.raises(MeterError):
         Meter(MeterConfig(source="trace-replay"))

@@ -610,6 +610,8 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
     pytest.param({}, "trace:{tmp}/nonexistent.csv", id="trace-spec-missing-file"),
     # a meter that can only report 0 J or less would fail the run at ranking
     pytest.param({}, "trace:{tmp}/one-sample.csv", id="trace-one-sample"),
+    # a domain with no report column would break cpu + ram + gpu = total
+    pytest.param({}, "trace:{tmp}/disk.csv", id="trace-domain-disk"),
     pytest.param({"meter": {"constant_watts": {"cpu": 0.0, "ram": 0.0}}}, None,
                  id="constant-watts-0"),
     pytest.param({"meter": {"constant_watts": {"cpu": 15.0, "ram": -3.0}}}, None,
@@ -672,6 +674,7 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
 def test_cli_config_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, overrides,
                                                   meter_spec):
     (tmp_path / "one-sample.csv").write_text("0.0,cpu,10.0\n")
+    (tmp_path / "disk.csv").write_text("0.0,cpu,10.0\n1.0,cpu,10.0\n0.0,disk,5.0\n1.0,disk,5.0\n")
     cfg_path = tmp_path / "cfg.json"
     if overrides == "yaml":  # a good config, but no pyyaml to read it
         cfg_path = tmp_path / "cfg.yaml"

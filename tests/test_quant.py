@@ -27,11 +27,11 @@ def test_8bit_per_row_derived_vector():
     assert q.scales[0] == np.float32(1.0 / 127.0)
     assert q.scales[1] == np.float32(2.0 / 127.0)
     assert q.codes.tolist() == [[-127, 64, 32, 127]] * 2
-    one = quantize(PER_ROW[0], QuantSpec(8))  # a 1-D tensor gets one scale
-    assert one.scales.tolist() == [q.scales[0]]
-    assert one.codes.tolist() == [-127, 64, 32, 127]
-    scalar = quantize(np.float32(-1.0), QuantSpec(8))  # and a 0-D one keeps its shape
-    assert scalar.codes.shape == dequantize(scalar).shape == ()
+    # integer codes are for matrices: a 1-D or 0-D tensor is refused
+    for bits in (4, 8):
+        for other in (PER_ROW[0], np.float32(-1.0)):
+            with pytest.raises(QuantError, match="not shape"):
+                quantize(other, QuantSpec(bits))
 
 
 def test_all_zero_4bit_convention():
@@ -147,4 +147,4 @@ def test_weight_matrix_set_is_pinned():
 
 def test_nonfinite_rejected():
     with pytest.raises(QuantError):
-        quantize(np.asarray([np.nan], np.float32), QuantSpec(8))
+        quantize(np.asarray([[np.nan]], np.float32), QuantSpec(8))

@@ -30,9 +30,9 @@ from oracles import bundles_equal, evaluation_loss
 CFG = LmConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=64, init_seed=1)
 
 
-def small_setup(rank=4, alpha=8.0):
-    bundle = init_model(CFG)
-    adapters = init_adapters(CFG, rank=rank, alpha=alpha, seed=1)
+def small_setup(rank=4, alpha=8.0, cfg=CFG):
+    bundle = init_model(cfg)
+    adapters = init_adapters(cfg, rank=rank, alpha=alpha, seed=1)
     seqs = [encode_example("fault e01 link", "reset card 2"),
             encode_example("fault e02 cpu", "patch node 1")]
     return bundle, adapters, seqs
@@ -69,6 +69,16 @@ def test_forward_input_validation():
         model.forward_cached(list(range(CFG.max_seq + 1)), None)
     with pytest.raises(LmError):
         model.forward_cached([999], None)
+    # a non-integer id is refused, not truncated (65.9 would read as 65) or read as 0/1
+    for tokens in ([BOS_ID, 65.9], [65.0], [True], np.array([BOS_ID, 65], np.float32)):
+        with pytest.raises(LmError, match="must be integers"):
+            model.forward_cached(tokens, None)
+        with pytest.raises(LmError, match="must be integers"):
+            model.forward_cached(tokens, None, KvCache())
+    with pytest.raises(LmError, match="empty token sequence"):
+        model.forward_cached([], None)
+    assert np.array_equal(model.forward_cached(np.array([BOS_ID, 65], np.int32), None)[0],
+                          model.forward_cached([BOS_ID, 65], None)[0])
 
 
 def test_softmax_rows_sum_to_one():
@@ -168,12 +178,18 @@ def test_gelu_and_its_grad_match_float64_reference():
     np.testing.assert_allclose(tinylm._gelu_grad(x, t), central, rtol=1e-5, atol=2e-6)
 
 
-def test_low_rank_grads_match_dense_float64_oracle():
-    assert CFG.d_ff > CFG.d_model  # w1 and w2 are not square
-    model, adapters, seqs = trained_setup(quantize_bundle(init_model(CFG), QuantSpec(4)))
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_low_rank_grads_match_dense_float64_oracle(n_layers):
+    # one layer is both the first and the last the backward pass reaches
+    cfg = dataclasses.replace(CFG, n_layers=n_layers)
+    assert cfg.d_ff > cfg.d_model  # w1 and w2 are not square
+    model, adapters, seqs = trained_setup(quantize_bundle(init_model(cfg), QuantSpec(4)), cfg)
+    assert all(t.dtype == np.float32 for t in (*adapters.a.values(), *adapters.b.values()))
+    assert len(adapters.a) == 6 * n_layers
     s = adapters.scaling
     for seq in seqs:
         _, grads = model.loss_and_grads(seq, adapters)
+        assert set(grads) == set(adapters.a)  # a pair for every factor, layer 0's too
         # Oracle: the sequence's (input, output gradient) pairs, contracted in
         # float64 through the dense p x q dL/dW_eff.
         logits, cache = model.forward_cached(seq, adapters)
@@ -182,11 +198,11 @@ def test_low_rank_grads_match_dense_float64_oracle():
         dlogits[np.arange(len(seq) - 1), seq[1:]] -= 1.0
         dlogits = (dlogits / (len(seq) - 1)).astype(np.float32)
         want = {}
-        for name, (inp, dout) in model._backward_io(dlogits, cache, set(adapters.a)).items():
+        for name, (inp, dout) in model._backward_io(dlogits, cache).items():
             dw = inp.astype(np.float64).T @ dout.astype(np.float64)
             want[name] = (s * (dw @ adapters.b[name].astype(np.float64).T),
                           s * (adapters.a[name].astype(np.float64).T @ dw))
-        assert set(grads) == set(adapters.a) == set(want)
+        assert set(want) == set(adapters.a)
         for name, (da, db) in grads.items():
             for got, ref in ((da, want[name][0]), (db, want[name][1])):
                 np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-6 * np.abs(ref).max(),
@@ -222,9 +238,9 @@ def test_greedy_decode_contract():
         greedy_decode(model, adapters, full + [BOS_ID], 4)
 
 
-def trained_setup(bundle=None):
+def trained_setup(bundle=None, cfg=CFG):
     """A model and adapters after three training epochs, so B is nonzero."""
-    base, adapters, seqs = small_setup()
+    base, adapters, seqs = small_setup(cfg=cfg)
     model = TinyLm(bundle or base)
     for _ in range(3):
         adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
