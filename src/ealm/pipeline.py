@@ -28,8 +28,9 @@ from .meter import (
 )
 from .metrics import MetricScores, score_outputs
 from .rank import CandidateRecord, TrainRecord
-from .tensors import (BundleError, Lineage, LmConfig, check_types, fits, load_bundle,
-                      payload_bytes, read_tensors, save_bundle, write_atomic, write_tensors)
+from .tensors import (BundleError, Lineage, LmConfig, check_types, default_target_filter, fits,
+                      load_bundle, payload_bytes, read_tensors, save_bundle, write_atomic,
+                      write_tensors)
 
 import numpy as np
 
@@ -466,7 +467,7 @@ def _adapters(tensors: dict, meta: dict, config: LmConfig) -> tinylm.LoraAdapter
         raise BundleError(f"adapter meta {meta} is not an int rank and a float alpha")
     want = {f"{side}:{name}": (shape[0], rank) if side == "a" else (rank, shape[1])
             for name, shape in config.tensor_shapes().items()
-            if quant_mod.default_target_filter(name) for side in "ab"}
+            if default_target_filter(name) for side in "ab"}
     bad = sorted(n for n, t in tensors.items() if not (
         isinstance(t, np.ndarray) and t.dtype == np.float32 and t.shape == want.get(n)
         and np.isfinite(t).all()))

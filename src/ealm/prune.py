@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import nm_mask_kernel
-from .quant import default_target_filter, dequantize
-from .tensors import ModelBundle, QuantizedTensor
+from .quant import dequantize
+from .tensors import ModelBundle, QuantizedTensor, default_target_filter
 
 
 class PruneError(Exception):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import WEIGHT_MATRICES, ModelBundle, QuantizedTensor
+from .tensors import ModelBundle, QuantizedTensor, default_target_filter
 
 VALID_BITS = (4, 8, 16, 32)
 QMAX = {8: 127, 4: 7}
@@ -19,11 +19,6 @@ QMAX = {8: 127, 4: 7}
 
 class QuantError(Exception):
     pass
-
-
-def default_target_filter(name: str) -> bool:
-    """Attention and MLP weight matrices; embeddings, norms, head excluded."""
-    return name.startswith("layers.") and name.split(".", 2)[-1] in WEIGHT_MATRICES
 
 
 @dataclass

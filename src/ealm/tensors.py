@@ -43,6 +43,11 @@ class BundleError(Exception):
 WEIGHT_MATRICES = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2")
 
 
+def default_target_filter(name: str) -> bool:
+    """Attention and MLP weight matrices; embeddings and head excluded."""
+    return name.startswith("layers.") and name.split(".", 2)[-1] in WEIGHT_MATRICES
+
+
 def fits(v, t) -> bool:
     """Whether `v` fits annotation `t`: an int, not a bool, for `int`; a finite
     int or float, not a bool, for `float`; an instance for any other class; and
@@ -116,16 +121,10 @@ class LmConfig:
         }
         for i in range(self.n_layers):
             p = f"layers.{i}."
-            shapes[p + "ln1.g"] = (d,)
-            shapes[p + "ln1.b"] = (d,)
             for w in ("wq", "wk", "wv", "wo"):
                 shapes[p + "attn." + w] = (d, d)
-            shapes[p + "ln2.g"] = (d,)
-            shapes[p + "ln2.b"] = (d,)
             shapes[p + "mlp.w1"] = (d, self.d_ff)
             shapes[p + "mlp.w2"] = (self.d_ff, d)
-        shapes["ln_f.g"] = (d,)
-        shapes["ln_f.b"] = (d,)
         shapes["head"] = (d, v)
         return shapes
 
@@ -169,15 +168,24 @@ class ModelBundle:
         missing = sorted(set(required) - set(self.tensors))
         if missing:
             raise BundleError(f"missing tensors: {missing}")
+        extra = sorted(set(self.tensors) - set(required))
+        if extra:
+            raise BundleError(f"tensors not in the config: {extra}")
+        bits = self.lineage.precision_bits
         for name, t in self.tensors.items():
             shape = tuple(t.shape)
-            if name in required and shape != required[name]:
+            if shape != required[name]:
                 raise BundleError(
                     f"tensor {name!r}: shape {shape} != expected {required[name]}"
                 )
-            if isinstance(t, QuantizedTensor) and (len(shape) != 2 or t.scales.size != shape[0]):
-                rows = f"{shape[0]} rows" if len(shape) == 2 else f"shape {shape}, not a matrix"
-                raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {rows}")
+            # the storage quantize_bundle gives it at the lineage's width
+            want = ("float32" if not default_target_filter(name) or bits == 32 else
+                    "float16" if bits == 16 else f"{bits}-bit codes")
+            have = f"{t.bits}-bit codes" if isinstance(t, QuantizedTensor) else str(t.dtype)
+            if have != want:
+                raise BundleError(f"tensor {name!r}: {have} in a {bits}-bit bundle, not {want}")
+            if isinstance(t, QuantizedTensor) and t.scales.size != shape[0]:
+                raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {shape[0]} rows")
             if isinstance(t, np.ndarray) and not np.all(np.isfinite(t.astype(np.float32))):
                 raise BundleError(f"tensor {name!r} has non-finite values")
 

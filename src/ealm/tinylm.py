@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quant import QuantSpec, default_target_filter, dequantize, quantize
-from .tensors import WEIGHT_MATRICES, Lineage, LmConfig, ModelBundle
+from .quant import QuantSpec, dequantize, quantize
+from .tensors import WEIGHT_MATRICES, Lineage, LmConfig, ModelBundle, default_target_filter
 
 PAD_ID = 256
 BOS_ID = 257
@@ -32,6 +32,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _F32_EPS, _F32_GELU_C, _F32_GELU_A = np.float32(LN_EPS), np.float32(_GELU_C), np.float32(0.044715)
 _F32_HALF, _F32_ONE = np.float32(0.5), np.float32(1.0)
 _f32 = functools.cache(np.float32)  # keyed by row width: ~0.1 us a hit, ~0.5 us to build
+_BOOLS = {bool, np.bool_}
 
 
 class LmError(Exception):
@@ -74,17 +75,12 @@ def named_rng(seed: int, name: str) -> np.random.Generator:
 
 def init_model(config: LmConfig) -> ModelBundle:
     """Seeded uniform init in [-s, s] with s = 1/sqrt(d_model) for weights and
-    embeddings; norm gains start at 1 and biases at 0."""
+    embeddings. Layer norm has no gain or bias to init."""
     s = 1.0 / math.sqrt(config.d_model)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in config.tensor_shapes().items():
-        if name.endswith(".g"):
-            tensors[name] = np.ones(shape, dtype=np.float32)
-        elif name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            rng = named_rng(config.init_seed, "init:" + name)
-            tensors[name] = rng.uniform(-s, s, size=shape).astype(np.float32)
+        rng = named_rng(config.init_seed, "init:" + name)
+        tensors[name] = rng.uniform(-s, s, size=shape).astype(np.float32)
     return ModelBundle(tensors=tensors, config=config, lineage=Lineage())
 
 
@@ -171,37 +167,36 @@ def _nll(logits: np.ndarray, seq):
     return float(-np.sum(np.log(np.maximum(picked, 1e-30), dtype=np.float64))), probs, targets
 
 
-def _layernorm(x, g, b):
-    """Layer norm over the last axis, and the (xhat, inv, g) its backward
-    needs. It runs the float32 sums and divisions `ndarray.mean`/`var`
-    perform, without their Python wrappers; the centred `xc` is computed once.
+def _layernorm(x):
+    """Layer norm over the last axis with no gain or bias: `xhat`, and the
+    (xhat, inv) its backward needs. It runs the float32 sums and divisions
+    `ndarray.mean`/`var` perform, without their Python wrappers; the centred
+    `xc` is computed once.
 
     A one-row `x` (a decode step) takes its mean and inverse scale as float32
     scalars: a reduction over the whole (1, n) array sums the same n values
     in the same order as one over its last axis, and a float32 scalar op
     rounds as the same op on a (1, 1) array does, at a tenth of its cost.
-    The cache's `inv` is still (1, 1)."""
+    The cache's `inv` is then that scalar."""
     if x.ndim == 2 and len(x) == 1:
         n = _f32(x.shape[1])
         xc = x - np.add.reduce(x, None) / n
         inv = _F32_ONE / np.sqrt(np.add.reduce(xc * xc, None) / n + _F32_EPS)
-        xhat = xc * inv
-        return g * xhat + b, (xhat, np.array(inv, ndmin=2), g)
-    n = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + LN_EPS)
+    else:
+        n = x.shape[-1]
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + LN_EPS)
     xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    return xhat, (xhat, inv)
 
 
 def _layernorm_backward(dy, cache):
-    xhat, inv, g = cache
+    xhat, inv = cache
     n = dy.shape[-1]
-    dxhat = dy * g
     return inv * (
-        dxhat
-        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
+        dy
+        - np.add.reduce(dy, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dy * xhat, axis=-1, keepdims=True) / n)
     )
 
 
@@ -226,10 +221,7 @@ class TinyLm:
 
     def __init__(self, bundle: ModelBundle):
         self.config = bundle.config
-        # Norm gains and biases are (1, d) rows: a one-row g * xhat + b then
-        # does not broadcast.
-        self.w = {name: dequantize(t).reshape(1, -1) if name.endswith((".g", ".b"))
-                  else dequantize(t) for name, t in bundle.tensors.items()}
+        self.w = {name: dequantize(t) for name, t in bundle.tensors.items()}
         self.n_heads = self.config.n_heads
         self.d_head = self.config.d_model // self.n_heads
         self.sqrt_d_head = np.float32(math.sqrt(self.d_head))
@@ -247,6 +239,9 @@ class TinyLm:
             raise LmError("empty token sequence")
         if ids.dtype.kind not in "iu":  # a float id would be truncated, a bool read as 0/1
             raise LmError(f"token ids must be integers, got dtype {ids.dtype}")
+        # asarray reads a bool among ints as 0/1; one bool alone has dtype bool
+        if ids.size > 1 and not _BOOLS.isdisjoint(map(type, tokens)):
+            raise LmError("token ids must be integers, got a bool")
         if start + ids.size > self.config.max_seq:
             raise LmError(f"sequence length {start + ids.size} exceeds max_seq "
                           f"{self.config.max_seq}")
@@ -281,7 +276,7 @@ class TinyLm:
             p = f"layers.{i}."
             cached = kv is not None and i < len(kv.w)
             w = kv.w[i] if cached else {m: self._eff(p + m, adapters) for m in WEIGHT_MATRICES}
-            h, ln1c = _layernorm(x, self.w[p + "ln1.g"], self.w[p + "ln1.b"])
+            h, ln1c = _layernorm(x)
             q = self._split_heads(h @ w["attn.wq"])
             k = self._split_heads(h @ w["attn.wk"])
             v = self._split_heads(h @ w["attn.wv"])
@@ -301,14 +296,14 @@ class TinyLm:
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
             x += o @ w["attn.wo"]
-            h2, ln2c = _layernorm(x, self.w[p + "ln2.g"], self.w[p + "ln2.b"])
+            h2, ln2c = _layernorm(x)
             u = h2 @ w["mlp.w1"]
             g, gt = _gelu(u)
             x += g @ w["mlp.w2"]
             if kv is None:
                 layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
                                    o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
-        xf, lnfc = _layernorm(x, self.w["ln_f.g"], self.w["ln_f.b"])
+        xf, lnfc = _layernorm(x)
         logits = xf @ self.w["head"]
         if kv is None:
             return logits, dict(layers=layers, lnfc=lnfc)

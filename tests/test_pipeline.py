@@ -847,8 +847,10 @@ def ranked_state(tmp_path_factory):
     ("rank", "drop-key:lineage.precision_bits:candidates_loop1.json"),
     ("prune-grid", "drop-key:status:topk.json"),
     ("prune-grid", "lineage-key:artifacts/{top}.ealm"),
-    # a bundle that decodes but lacks a tensor its config names
+    # a bundle that decodes but lacks a tensor its config names, and one that
+    # also holds layer-norm gains and biases, as bundles did before they were dropped
     ("prune-grid", "drop-tensor:artifacts/{top}.ealm"),
+    ("prune-grid", "norm-tensors:artifacts/{top}.ealm"),
     # there but cut short, as a killed writer could leave it
     ("rank", "truncated:candidates_loop1.json"),
     ("prune-grid", "truncated:topk.json"),
@@ -987,10 +989,18 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
     elif missing and missing.startswith("appended:"):
         victim = out / missing.removeprefix("appended:").format(top=top)
         victim.write_bytes(victim.read_bytes() + bytes(23))
-    elif missing and missing.startswith("drop-tensor:"):
-        victim = out / missing.removeprefix("drop-tensor:").format(top=top)
+    elif missing and missing.startswith(("drop-tensor:", "norm-tensors:")):
+        damage, name = missing.split(":")
+        victim = out / name.format(top=top)
         bundle = load_bundle(victim)
-        del bundle.tensors["layers.0.mlp.w2"]
+        if damage == "drop-tensor":
+            del bundle.tensors["layers.0.mlp.w2"]
+        else:
+            cfg = bundle.config
+            norms = [f"layers.{i}.ln{j}." for i in range(cfg.n_layers) for j in (1, 2)]
+            for p in norms + ["ln_f."]:
+                bundle.tensors[p + "g"] = np.ones(cfg.d_model, np.float32)
+                bundle.tensors[p + "b"] = np.zeros(cfg.d_model, np.float32)
         save_bundle(bundle, victim)
     elif missing:
         victim = out / missing.format(top=top)

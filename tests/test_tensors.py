@@ -141,6 +141,34 @@ def test_duplicate_names_rejected():
             q.validate()
 
 
+WQ = "layers.0.attn.wq"
+
+
+@pytest.mark.parametrize("bits, name, store, match", [
+    (32, "junk", np.ones((2, 2), np.float32), r"not in the config: \['junk'\]"),
+    (4, "tok_emb", 4, "'tok_emb': 4-bit codes in a 4-bit bundle, not float32"),
+    (16, "head", 16, "'head': float16 in a 16-bit bundle, not float32"),
+    (32, WQ, 16, f"'{WQ}': float16 in a 32-bit bundle, not float32"),
+    (16, WQ, 32, f"'{WQ}': float32 in a 16-bit bundle, not float16"),
+    (4, WQ, 8, f"'{WQ}': 8-bit codes in a 4-bit bundle, not 4-bit codes"),
+], ids=["junk", "4-bit-tok-emb", "f16-head", "f16-matrix-at-32",
+        "f32-matrix-at-16", "8-bit-matrix-at-4"])
+def test_load_refuses_what_quantize_bundle_does_not_write(tmp_path, bits, name, store, match):
+    """A bundle holds exactly its config's tensors, each stored as
+    quantize_bundle stores it at the lineage's width: a weight matrix as
+    float32, float16 or codes of that width, every other tensor as float32."""
+    bundle = quantize_bundle(init_model(LmConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                                                 max_seq=16)), QuantSpec(bits))
+    if isinstance(store, int):
+        store = quantize(init_model(bundle.config).tensors[name], QuantSpec(store))
+    bundle.tensors[name] = store
+    path = tmp_path / "b.ealm"
+    save_bundle(bundle, path)
+    with pytest.raises(BundleError, match=match) as e:
+        load_bundle(path)
+    assert str(path) in str(e.value)
+
+
 def test_payload_bytes_examples():
     t = np.zeros((2, 3), dtype=np.float32)
     assert tensor_payload_bytes(t) == 24

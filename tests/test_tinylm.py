@@ -44,6 +44,9 @@ def test_init_deterministic_and_shapes():
     assert bundles_equal(a, b)
     a.validate()
     assert a.tensors["tok_emb"].shape == (CFG.vocab_size, CFG.d_model)
+    # layer norm has no gain or bias: the bundle holds exactly the config's tensors
+    assert list(a.tensors) == list(CFG.tensor_shapes())
+    assert not [n for n in a.tensors if n.endswith((".g", ".b"))]
 
     other = init_model(dataclasses.replace(CFG, init_seed=2))
     assert not np.array_equal(other.tensors["tok_emb"], a.tensors["tok_emb"])
@@ -69,8 +72,10 @@ def test_forward_input_validation():
         model.forward_cached(list(range(CFG.max_seq + 1)), None)
     with pytest.raises(LmError):
         model.forward_cached([999], None)
-    # a non-integer id is refused, not truncated (65.9 would read as 65) or read as 0/1
-    for tokens in ([BOS_ID, 65.9], [65.0], [True], np.array([BOS_ID, 65], np.float32)):
+    # a non-integer id is refused, not truncated (65.9 would read as 65) or read as
+    # 0/1, also a bool among ints
+    for tokens in ([BOS_ID, 65.9], [65.0], [True], np.array([BOS_ID, 65], np.float32),
+                   [BOS_ID, True], [True, 65], [BOS_ID, np.True_]):
         with pytest.raises(LmError, match="must be integers"):
             model.forward_cached(tokens, None)
         with pytest.raises(LmError, match="must be integers"):
@@ -284,10 +289,16 @@ def test_kv_cache_chunks_match_full_forward(monkeypatch):
                                                 k=S - T + 1))
 
     monkeypatch.setattr(tinylm, "_softmax", masked_softmax)
-    monkeypatch.setattr(tinylm, "_layernorm", oracles.layernorm)
+    monkeypatch.setattr(tinylm, "_layernorm", unit_layernorm)
     for adapters in (trained, None):
         for n in steps_at:
             assert np.array_equal(steps[adapters is None, n], step(adapters, n))
+
+
+def unit_layernorm(x):
+    """`oracles.layernorm` at gain 1 and bias 0, where every model holds them."""
+    return oracles.layernorm(x, np.ones(x.shape[-1], np.float32),
+                             np.zeros(x.shape[-1], np.float32))
 
 
 @pytest.mark.parametrize("shape", [(1, 32), (17, 32), (9, 128), (2, 5, 7), (1, 48), (1, 128)])
@@ -295,15 +306,16 @@ def test_layernorm_and_softmax_keep_the_ndarray_method_bits(shape):
     rng = np.random.default_rng(sum(shape))
     for scale in (1e-3, 1.0, 50.0):
         x = (rng.standard_normal(shape) * scale + rng.uniform(-3, 3)).astype(np.float32)
-        g = rng.standard_normal(shape[-1]).astype(np.float32)
-        b = rng.standard_normal(shape[-1]).astype(np.float32)
         dy = rng.standard_normal(shape).astype(np.float32)
-        y, cache = tinylm._layernorm(x, g, b)
-        y_ref, cache_ref = oracles.layernorm(x, g, b)
-        assert y.dtype == cache[1].dtype == np.float32
-        assert np.array_equal(y, y_ref)
-        assert all(np.array_equal(c, c_ref) for c, c_ref in zip(cache, cache_ref))
-        assert np.array_equal(tinylm._layernorm_backward(dy, cache),
+        y, (xhat, inv) = tinylm._layernorm(x)
+        y_ref, cache_ref = unit_layernorm(x)
+        xhat_ref, inv_ref, _ = cache_ref
+        assert y.dtype == inv.dtype == np.float32
+        assert np.array_equal(y, y_ref) and np.array_equal(xhat, xhat_ref)
+        # a one-row x (a decode step) keeps its inverse scale as a scalar
+        assert np.shape(inv) == (() if shape[0] == 1 and len(shape) == 2 else inv_ref.shape)
+        assert np.array_equal(np.reshape(inv, inv_ref.shape), inv_ref)
+        assert np.array_equal(tinylm._layernorm_backward(dy, (xhat, inv)),
                               oracles.layernorm_backward(dy, cache_ref))
         assert np.array_equal(tinylm._softmax(x * 10), oracles.softmax(x * 10))
 
