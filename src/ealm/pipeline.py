@@ -152,12 +152,14 @@ class PipelineConfig:
 
 
 def _decode_all(model: tinylm.TinyLm, adapters, eval_records, max_new: int):
-    """Greedy decoding of every eval prompt: ((text, reference) pairs, tokens)."""
+    """Greedy decoding of every eval prompt: ((text, reference) pairs, tokens).
+    The adapters are merged into the weights once, for all prompts."""
+    model = model.with_adapters(adapters)
     pairs = []
     n_generated = 0
     for rec in eval_records:
         prompt_ids = tinylm.encode_prompt(rec.prompt)
-        out = tinylm.greedy_decode(model, adapters, prompt_ids, max_new)
+        out = tinylm.greedy_decode(model, None, prompt_ids, max_new)
         generated = out[len(prompt_ids):]
         n_generated += len(generated)
         pairs.append((tinylm.decode_ids(generated), rec.reference))

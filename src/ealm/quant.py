@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import ModelBundle, QuantizedTensor, default_target_filter
+from .tensors import QMAX, ModelBundle, QuantizedTensor, default_target_filter
 
 VALID_BITS = (4, 8, 16, 32)
-QMAX = {8: 127, 4: 7}
 
 
 class QuantError(Exception):
@@ -46,7 +45,9 @@ def quantize(arr: np.ndarray, spec: QuantSpec):
     qmax = QMAX[spec.bits]
     amax = np.abs(arr).max(axis=1)
     scales = (amax / qmax).astype(np.float32)
-    scales[amax == 0] = 1.0  # all-zero row convention: scale 1, codes 0
+    # all-zero row convention: scale 1, codes 0; also for a row whose largest
+    # value is a subnormal so small that amax / qmax rounds to 0
+    scales[scales == 0] = 1.0
     x = arr.astype(np.float64) / scales[:, None]
     codes = np.sign(x) * np.floor(np.abs(x) + 0.5)  # half away from zero
     codes = np.clip(codes, -qmax, qmax).astype(np.int8)

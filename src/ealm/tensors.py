@@ -41,6 +41,8 @@ class BundleError(Exception):
 
 # What the pipeline quantizes, adapts and prunes: `layers.{i}.<matrix>` for each.
 WEIGHT_MATRICES = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2")
+# The largest code magnitude at each integer width: codes lie in [-qmax, qmax].
+QMAX = {8: 127, 4: 7}
 
 
 def default_target_filter(name: str) -> bool:
@@ -184,8 +186,15 @@ class ModelBundle:
             have = f"{t.bits}-bit codes" if isinstance(t, QuantizedTensor) else str(t.dtype)
             if have != want:
                 raise BundleError(f"tensor {name!r}: {have} in a {bits}-bit bundle, not {want}")
-            if isinstance(t, QuantizedTensor) and t.scales.size != shape[0]:
-                raise BundleError(f"tensor {name!r}: {t.scales.size} scales for {shape[0]} rows")
+            if isinstance(t, QuantizedTensor):
+                if t.scales.size != shape[0]:
+                    raise BundleError(f"tensor {name!r}: {t.scales.size} scales for "
+                                      f"{shape[0]} rows")
+                if not np.all(np.isfinite(t.scales) & (t.scales > 0)):
+                    raise BundleError(f"tensor {name!r}: a scale that is not finite and > 0")
+                qmax = QMAX[t.bits]
+                if t.codes.min() < -qmax or t.codes.max() > qmax:
+                    raise BundleError(f"tensor {name!r}: a code outside [-{qmax}, {qmax}]")
             if isinstance(t, np.ndarray) and not np.all(np.isfinite(t.astype(np.float32))):
                 raise BundleError(f"tensor {name!r} has non-finite values")
 

@@ -9,6 +9,7 @@ mean next-token cross-entropy, updating the adapter factors A and B only.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -202,36 +203,53 @@ def _layernorm_backward(dy, cache):
 
 @dataclass
 class KvCache:
-    """What `TinyLm.forward_cached` keeps between calls that continue one
-    sequence under one (model, adapters) pair. Per layer: the effective
-    weight matrices, and a key and a value buffer of `max_seq` positions,
-    each (heads, max_seq, d_head), all made on first use. A call writes its
-    positions' keys and values in place, and attention reads the
-    `[:, :length]` views. Keys are not stored transposed: q @ (a
-    (d_head, max_seq) buffer) takes another BLAS kernel than q @ k.T and
-    rounds differently."""
+    """The keys and values of the positions `TinyLm.forward_cached` has run
+    for one sequence, and nothing else: the weights come from the model each
+    call is made on. Per layer, a key and a value buffer of `max_seq`
+    positions, each (heads, max_seq, d_head), made on first use. A call
+    writes its positions' keys and values in place, and attention reads the
+    `[:, :length]` views. Keys are not stored transposed: q @ (a (d_head,
+    max_seq) buffer) takes another BLAS kernel than q @ k.T and rounds
+    differently."""
     length: int = 0
     k: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    w: list[dict[str, np.ndarray]] = field(default_factory=list)
 
 
 class TinyLm:
-    """Runtime view of a bundle: dense float32 weights plus optional adapters."""
+    """Runtime view of a bundle: dense float32 weights. `with_adapters` gives
+    the view a set of LoRA adapters is evaluated and trained through."""
 
     def __init__(self, bundle: ModelBundle):
         self.config = bundle.config
         self.w = {name: dequantize(t) for name, t in bundle.tensors.items()}
+        self.layers = self._layer_weights()
+        # row r masks column c > r; a forward of positions [start, end) adds
+        # its [start:end, :end] block
+        self.causal = np.triu(np.full((self.config.max_seq,) * 2, -1e9, dtype=np.float32), k=1)
         self.n_heads = self.config.n_heads
         self.d_head = self.config.d_model // self.n_heads
         self.sqrt_d_head = np.float32(math.sqrt(self.d_head))
 
-    def _eff(self, name: str, adapters: LoraAdapters | None) -> np.ndarray:
+    def _layer_weights(self) -> list[dict[str, np.ndarray]]:
+        return [{m: self.w[f"layers.{i}.{m}"] for m in WEIGHT_MATRICES}
+                for i in range(self.config.n_layers)]
+
+    def with_adapters(self, adapters: LoraAdapters | None) -> "TinyLm":
+        """This model with each adapted matrix w replaced by w + s·A@B, built
+        once: `adapters.delta(name)`, a new float32 array, then w added to it
+        in place. Every other array is the model's own; the model is not
+        changed. None gives the model itself."""
         if adapters is None:
-            return self.w[name]
-        w = adapters.delta(name)  # a new array: adding w in place gives w + delta's bits
-        w += self.w[name]
-        return w
+            return self
+        view = copy.copy(self)
+        view.w = dict(self.w)
+        for name in adapters.a:
+            w = adapters.delta(name)
+            w += self.w[name]
+            view.w[name] = w
+        view.layers = view._layer_weights()
+        return view
 
     def _check_tokens(self, tokens, start: int) -> np.ndarray:
         ids = np.asarray(tokens)
@@ -250,40 +268,42 @@ class TinyLm:
             raise LmError(f"token id out of range [0, {self.config.vocab_size})")
         return ids
 
+    # For one row (a decode step), (heads, 1, d_head) holds the values in the
+    # row's own order, so one reshape splits or merges the heads.
     def _split_heads(self, x):
         T = x.shape[0]
+        if T == 1:
+            return x.reshape(self.n_heads, 1, self.d_head)
         return x.reshape(T, self.n_heads, self.d_head).transpose(1, 0, 2)
 
     def _merge_heads(self, x):
+        if x.shape[1] == 1:
+            return x.reshape(1, -1)
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
-    def forward_cached(self, tokens, adapters: LoraAdapters | None = None,
-                       kv: KvCache | None = None):
-        """Logits of `tokens` and the activations backward needs. With `kv`,
-        `tokens` continue the sequence the cache holds, their keys and values
-        are written into it, and no activations are kept: the second item is
-        None, as a cached forward is never differentiated."""
+    def forward_cached(self, tokens, kv: KvCache | None = None):
+        """Logits of `tokens` and the activations backward needs, under this
+        model's weights (a `with_adapters` view carries its adapters). With
+        `kv`, `tokens` continue the sequence the cache holds, their keys and
+        values are written into it, and no activations are kept: the second
+        item is None, as a cached forward is never differentiated. Each call
+        on one cache must be made on the same model."""
         start = kv.length if kv is not None else 0
         ids = self._check_tokens(tokens, start)
         T = ids.size
         end = start + T
         x = self.w["tok_emb"][ids] + self.w["pos_emb"][start:end]
         # One new token may attend to every cached position: no mask to add.
-        causal = (np.triu(np.full((T, end), -1e9, dtype=np.float32), k=start + 1)
-                  if T > 1 else None)
+        causal = self.causal[start:end, :end] if T > 1 else None
         layers = []
-        for i in range(self.config.n_layers):
-            p = f"layers.{i}."
-            cached = kv is not None and i < len(kv.w)
-            w = kv.w[i] if cached else {m: self._eff(p + m, adapters) for m in WEIGHT_MATRICES}
+        for i, w in enumerate(self.layers):
             h, ln1c = _layernorm(x)
             q = self._split_heads(h @ w["attn.wq"])
             k = self._split_heads(h @ w["attn.wk"])
             v = self._split_heads(h @ w["attn.wv"])
             if kv is not None:
-                if not cached:
+                if i == len(kv.k):
                     shape = (self.n_heads, self.config.max_seq, self.d_head)
-                    kv.w.append(w)
                     kv.k.append(np.empty(shape, dtype=np.float32))
                     kv.v.append(np.empty(shape, dtype=np.float32))
                 kv.k[i][:, start:end] = k
@@ -301,8 +321,8 @@ class TinyLm:
             g, gt = _gelu(u)
             x += g @ w["mlp.w2"]
             if kv is None:
-                layers.append(dict(p=p, w=w, ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs,
-                                   o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
+                layers.append(dict(p=f"layers.{i}.", w=w, ln1c=ln1c, h=h, q=q, k=k, v=v,
+                                   probs=probs, o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
         xf, lnfc = _layernorm(x)
         logits = xf @ self.w["head"]
         if kv is None:
@@ -339,8 +359,9 @@ class TinyLm:
 
     def loss_and_grads(self, seq, adapters: LoraAdapters):
         """Mean next-token cross-entropy over the predicted positions of one
-        sequence, plus gradients w.r.t. every adapter factor."""
-        logits, cache = self.forward_cached(seq, adapters)
+        sequence, plus gradients w.r.t. every adapter factor. The forward runs
+        on `with_adapters(adapters)`, built for this step."""
+        logits, cache = self.with_adapters(adapters).forward_cached(seq)
         nll, probs, targets = _nll(logits, seq)
         dlogits = np.zeros_like(logits)
         dlogits[:-1] = probs
@@ -379,17 +400,23 @@ def train_epoch(model: TinyLm, adapters: LoraAdapters, sequences, lr: float):
 
 
 def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new: int) -> list[int]:
+    """`prompt` followed by up to `max_new` greedily chosen tokens, stopping
+    at EOS or at `max_seq`. The adapters are merged into a view once per
+    call; a caller that decodes many prompts passes `model.with_adapters(
+    adapters)` and None. Each position goes through the model once, through
+    a `KvCache` of this call's own."""
     if len(prompt) == 0:
         raise LmError("prompt must be nonempty")
     if len(prompt) > model.config.max_seq:
         raise LmError(f"prompt length {len(prompt)} exceeds max_seq {model.config.max_seq}")
+    model = model.with_adapters(adapters)
     seq = list(prompt)
-    kv = KvCache()  # each position goes through the model once
+    kv = KvCache()
     new = list(prompt)
     for _ in range(max_new):
         if len(seq) >= model.config.max_seq:
             break
-        logits = model.forward_cached(new, adapters, kv)[0]
+        logits = model.forward_cached(new, kv)[0]
         nxt = int(logits[-1].argmax())  # argmax breaks ties toward lowest id
         seq.append(nxt)
         if nxt == EOS_ID:

@@ -1,14 +1,15 @@
 """Reference helpers the tests compare the package against: quantization
-error, bit-exact bundle equality, the forward-only evaluation loss, the
-`ndarray.mean`/`var`/`max`/`sum` forms of layernorm and softmax, and one
-loop-1 cell fine-tuned on its own."""
+error, bit-exact bundle equality, the forward-only evaluation loss, a model
+with its adapters added one matrix at a time, the `ndarray.mean`/`var`/`max`/
+`sum` forms of layernorm and softmax, and one loop-1 cell fine-tuned on its
+own."""
 
 import numpy as np
 
 from ealm import tinylm
 from ealm.pipeline import _decode_all
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
-from ealm.tensors import QuantizedTensor
+from ealm.tensors import Lineage, ModelBundle, QuantizedTensor
 from ealm.tinylm import LN_EPS, _nll
 
 
@@ -50,9 +51,18 @@ def evaluation_loss(model, sequences, adapters=None) -> float:
     for seq in sequences:
         if len(seq) < 2:
             continue
-        total += _nll(model.forward_cached(seq, adapters)[0], seq)[0]
+        total += _nll(model.with_adapters(adapters).forward_cached(seq)[0], seq)[0]
         n_pred += len(seq) - 1
     return total / max(n_pred, 1)
+
+
+def adapted_model(model, adapters):
+    """A new `TinyLm` whose adapted matrices are w + s * (A @ B), each built in
+    float32 on its own, as a forward that rebuilds them per call does."""
+    s = adapters.scaling
+    tensors = {name: w + s * (adapters.a[name] @ adapters.b[name]) if name in adapters.a else w
+               for name, w in model.w.items()}
+    return tinylm.TinyLm(ModelBundle(tensors=tensors, config=model.config, lineage=Lineage()))
 
 
 def layernorm(x, g, b):

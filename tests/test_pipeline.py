@@ -498,6 +498,29 @@ def test_merge_error_fails_only_its_parents_variants(tmp_path, monkeypatch):
             assert c["lineage"]["parent_id"] == "ft-b4-e1"
 
 
+@pytest.mark.parametrize("n_prompts", [1, 4])
+def test_decode_all_merges_the_adapters_once_per_model(monkeypatch, n_prompts):
+    cfg = LmConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=64, init_seed=1)
+    model = tinylm.TinyLm(tinylm.init_model(cfg))
+    adapters = tinylm.init_adapters(cfg, rank=2, alpha=4.0, seed=1)
+    records = generate_synthetic_corpus(seed=0, n_records=n_prompts, grammar_size=2)
+    want = [tinylm.greedy_decode(model, adapters, tinylm.encode_prompt(r.prompt), 8)
+            for r in records]
+    calls = []
+    real = tinylm.LoraAdapters.delta
+
+    def counting(self, name):
+        calls.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(tinylm.LoraAdapters, "delta", counting)
+    pairs, n_generated = pl._decode_all(model, adapters, records, 8)
+    assert sorted(calls) == sorted(adapters.a) and len(calls) == 6 * cfg.n_layers
+    prompts = [tinylm.encode_prompt(r.prompt) for r in records]
+    assert n_generated == sum(len(o) - len(p) for o, p in zip(want, prompts))
+    assert [t for t, _ in pairs] == [tinylm.decode_ids(o[len(p):]) for o, p in zip(want, prompts)]
+
+
 def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, bits_grid=[4, 8, 16, 32], prune_ratios=[0.3, 0.5],
                       nm_patterns=[[2, 4]])
@@ -508,9 +531,8 @@ def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkey
     computed = []
 
     def zero_share(model, adapters, *args):
-        kv = tinylm.KvCache()  # the cache keeps the effective matrices the forward used
-        model.forward_cached([tinylm.BOS_ID], adapters, kv)
-        mats = [w[m] for w in kv.w for m in WEIGHT_MATRICES]
+        # the matrices every forward of the evaluated view computes on
+        mats = [w[m] for w in model.with_adapters(adapters).layers for m in WEIGHT_MATRICES]
         computed.append(sum(int(np.count_nonzero(w == 0)) for w in mats)
                         / sum(w.size for w in mats))
         return real(model, adapters, *args)
@@ -851,6 +873,10 @@ def ranked_state(tmp_path_factory):
     # also holds layer-norm gains and biases, as bundles did before they were dropped
     ("prune-grid", "drop-tensor:artifacts/{top}.ealm"),
     ("prune-grid", "norm-tensors:artifacts/{top}.ealm"),
+    # the 4-bit candidate as the top-k, its bundle holding a scale or a code
+    # quantize never writes
+    ("prune-grid", "q4:nan-scale:artifacts/ft-b4-e1.ealm"),
+    ("prune-grid", "q4:code-8:artifacts/ft-b4-e1.ealm"),
     # there but cut short, as a killed writer could leave it
     ("rank", "truncated:candidates_loop1.json"),
     ("prune-grid", "truncated:topk.json"),
@@ -989,6 +1015,18 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
     elif missing and missing.startswith("appended:"):
         victim = out / missing.removeprefix("appended:").format(top=top)
         victim.write_bytes(victim.read_bytes() + bytes(23))
+    elif missing and missing.startswith("q4:"):
+        _, damage, name = missing.split(":")
+        loop1 = json.loads((out / "candidates_loop1.json").read_text())
+        (out / "topk.json").write_text(json.dumps([r for r in loop1 if r["id"] == "ft-b4-e1"]))
+        victim = out / name
+        bundle = load_bundle(victim)
+        t = bundle.tensors["layers.0.attn.wq"]
+        if damage == "nan-scale":
+            t.scales[0] = np.nan
+        else:
+            t.codes[0, 0] = -8
+        save_bundle(bundle, victim)
     elif missing and missing.startswith(("drop-tensor:", "norm-tensors:")):
         damage, name = missing.split(":")
         victim = out / name.format(top=top)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ealm.quant import (
+    QMAX,
     QuantError,
     QuantSpec,
     default_target_filter,
@@ -40,6 +41,16 @@ def test_all_zero_4bit_convention():
     q = quantize(t, QuantSpec(4))
     assert q.scales.tolist() == [1.0, 0.5]  # the all-zero row gets scale 1
     assert not q.codes[0].any()
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_a_scale_that_rounds_to_zero_takes_the_all_zero_convention(bits):
+    # 1e-45 / qmax is 0 in float32: a zero scale would be refused on load
+    t = np.asarray([[1e-45, -1e-45, 0.0], [1.0, 0.0, -0.5]], np.float32)
+    q = quantize(t, QuantSpec(bits))
+    assert q.scales[0] == 1.0 and not q.codes[0].any()
+    assert not dequantize(q)[0].any()
+    assert q.scales[1] == np.float32(1.0 / QMAX[bits])
 
 
 def test_32bit_identity():

@@ -4,6 +4,7 @@ import pytest
 from ealm.quant import QuantSpec, quantize, quantize_bundle
 from ealm.tensors import (
     BundleError,
+    QMAX,
     Lineage,
     LmConfig,
     ModelBundle,
@@ -165,6 +166,33 @@ def test_load_refuses_what_quantize_bundle_does_not_write(tmp_path, bits, name, 
     path = tmp_path / "b.ealm"
     save_bundle(bundle, path)
     with pytest.raises(BundleError, match=match) as e:
+        load_bundle(path)
+    assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("bits, damage, match", [
+    (4, "scale-nan", "a scale that is not finite and > 0"),
+    (8, "scale-inf", "a scale that is not finite and > 0"),
+    (4, "scale-zero", "a scale that is not finite and > 0"),
+    (8, "scale-negative", "a scale that is not finite and > 0"),
+    (4, "code-below", r"a code outside \[-7, 7\]"),
+    (8, "code-below", r"a code outside \[-127, 127\]"),
+])
+def test_load_refuses_scales_and_codes_quantize_does_not_write(tmp_path, bits, damage, match):
+    """`quantize` writes scales that are finite and > 0 (an all-zero row gets
+    1) and clips codes to [-qmax, qmax]; a NaN scale would make every logit
+    NaN."""
+    bundle = quantize_bundle(init_model(LmConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                                                 max_seq=16)), QuantSpec(bits))
+    t = bundle.tensors[WQ]
+    if damage == "code-below":
+        t.codes[1, 2] = -QMAX[bits] - 1
+    else:
+        t.scales[1] = {"scale-nan": np.nan, "scale-inf": np.inf, "scale-zero": 0.0,
+                       "scale-negative": -t.scales[1]}[damage]
+    path = tmp_path / "b.ealm"
+    save_bundle(bundle, path)
+    with pytest.raises(BundleError, match=f"'{WQ}': {match}") as e:
         load_bundle(path)
     assert str(path) in str(e.value)
 

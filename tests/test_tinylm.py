@@ -55,13 +55,13 @@ def test_init_deterministic_and_shapes():
 def test_forward_shape_and_zero_adapter_equivalence():
     bundle, adapters, seqs = small_setup()
     model = TinyLm(bundle)
-    logits = model.forward_cached(seqs[0], adapters)[0]
+    logits = model.with_adapters(adapters).forward_cached(seqs[0])[0]
     assert logits.shape == (len(seqs[0]), CFG.vocab_size)
     assert np.isfinite(logits).all()
     # B starts at zero, so the adapter path must match the base exactly
-    assert np.array_equal(logits, model.forward_cached(seqs[0], None)[0])
+    assert np.array_equal(logits, model.forward_cached(seqs[0])[0])
 
-    one = model.forward_cached([tinylm.BOS_ID], None)[0]
+    one = model.forward_cached([tinylm.BOS_ID])[0]
     assert one.shape == (1, CFG.vocab_size)
 
 
@@ -69,21 +69,21 @@ def test_forward_input_validation():
     bundle, _, _ = small_setup()
     model = TinyLm(bundle)
     with pytest.raises(LmError):
-        model.forward_cached(list(range(CFG.max_seq + 1)), None)
+        model.forward_cached(list(range(CFG.max_seq + 1)))
     with pytest.raises(LmError):
-        model.forward_cached([999], None)
+        model.forward_cached([999])
     # a non-integer id is refused, not truncated (65.9 would read as 65) or read as
     # 0/1, also a bool among ints
     for tokens in ([BOS_ID, 65.9], [65.0], [True], np.array([BOS_ID, 65], np.float32),
                    [BOS_ID, True], [True, 65], [BOS_ID, np.True_]):
         with pytest.raises(LmError, match="must be integers"):
-            model.forward_cached(tokens, None)
+            model.forward_cached(tokens)
         with pytest.raises(LmError, match="must be integers"):
-            model.forward_cached(tokens, None, KvCache())
+            model.forward_cached(tokens, KvCache())
     with pytest.raises(LmError, match="empty token sequence"):
-        model.forward_cached([], None)
-    assert np.array_equal(model.forward_cached(np.array([BOS_ID, 65], np.int32), None)[0],
-                          model.forward_cached([BOS_ID, 65], None)[0])
+        model.forward_cached([])
+    assert np.array_equal(model.forward_cached(np.array([BOS_ID, 65], np.int32))[0],
+                          model.forward_cached([BOS_ID, 65])[0])
 
 
 def test_softmax_rows_sum_to_one():
@@ -197,7 +197,7 @@ def test_low_rank_grads_match_dense_float64_oracle(n_layers):
         assert set(grads) == set(adapters.a)  # a pair for every factor, layer 0's too
         # Oracle: the sequence's (input, output gradient) pairs, contracted in
         # float64 through the dense p x q dL/dW_eff.
-        logits, cache = model.forward_cached(seq, adapters)
+        logits, cache = model.with_adapters(adapters).forward_cached(seq)
         dlogits = np.zeros(logits.shape, dtype=np.float64)
         dlogits[:-1] = tinylm._softmax(logits[:-1].astype(np.float64))
         dlogits[np.arange(len(seq) - 1), seq[1:]] -= 1.0
@@ -243,14 +243,62 @@ def test_greedy_decode_contract():
         greedy_decode(model, adapters, full + [BOS_ID], 4)
 
 
-def trained_setup(bundle=None, cfg=CFG):
+def trained_setup(bundle=None, cfg=CFG, alpha=8.0):
     """A model and adapters after three training epochs, so B is nonzero."""
-    base, adapters, seqs = small_setup(cfg=cfg)
+    base, adapters, seqs = small_setup(alpha=alpha, cfg=cfg)
     model = TinyLm(bundle or base)
     for _ in range(3):
         adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
     assert all(np.any(b != 0) for b in adapters.b.values())
     return model, adapters, seqs
+
+
+@pytest.mark.parametrize("d_model", [32, 128])
+def test_with_adapters_keeps_the_bits_of_a_per_matrix_rebuild(monkeypatch, d_model):
+    cfg = dataclasses.replace(CFG, d_model=d_model, n_heads=4, d_ff=2 * d_model)
+    # s = 1.5: scaling by a power of two would hide where s is applied
+    model, adapters, seqs = trained_setup(cfg=cfg, alpha=6.0)
+    view, ref = model.with_adapters(adapters), oracles.adapted_model(model, adapters)
+    for seq in seqs:
+        assert np.array_equal(view.forward_cached(seq)[0], ref.forward_cached(seq)[0])
+    # every step of a 40-token greedy decode
+    prompt = encode_prompt("fault e01 link")
+    out = greedy_decode(model, adapters, prompt, 40)
+    assert out == greedy_decode(ref, None, prompt, 40)
+    assert len(out) - len(prompt) == 40 or out[-1] == EOS_ID
+    kv_view, kv_ref, new = KvCache(), KvCache(), prompt
+    for nxt in out[len(prompt):]:
+        step = view.forward_cached(new, kv_view)[0]
+        assert np.array_equal(step, ref.forward_cached(new, kv_ref)[0])
+        assert int(step[-1].argmax()) == nxt
+        new = [nxt]
+    # training: the same loss and gradients with the oracle in place of the view
+    got = [model.loss_and_grads(seq, adapters) for seq in seqs]
+    monkeypatch.setattr(TinyLm, "with_adapters", oracles.adapted_model)
+    for seq, (loss, grads) in zip(seqs, got):
+        want_loss, want = model.loss_and_grads(seq, adapters)
+        assert loss == want_loss and set(grads) == set(want) == set(adapters.a)
+        for name, pair in grads.items():
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(pair, want[name]))
+
+
+def test_with_adapters_shares_the_base_and_leaves_it_unchanged():
+    model, adapters, _ = trained_setup()
+    weights = {n: t.tobytes() for n, t in model.w.items()}
+    assert model.with_adapters(None) is model
+    view = model.with_adapters(adapters)
+    assert {n: t.tobytes() for n, t in model.w.items()} == weights
+    assert set(view.w) == set(model.w) and len(adapters.a) == 6 * CFG.n_layers
+    for name, w in model.w.items():
+        if name in adapters.a:
+            assert not np.shares_memory(view.w[name], w)
+            assert not np.array_equal(view.w[name], w)  # B is nonzero after training
+        else:
+            assert view.w[name] is w
+    for m in (model, view):  # the per-layer matrices the forward reads are its own w
+        assert len(m.layers) == CFG.n_layers
+        assert all(lw[n] is m.w[f"layers.{i}.{n}"]
+                   for i, lw in enumerate(m.layers) for n in tinylm.WEIGHT_MATRICES)
 
 
 def test_kv_cache_chunks_match_full_forward(monkeypatch):
@@ -259,18 +307,25 @@ def test_kv_cache_chunks_match_full_forward(monkeypatch):
     n_prompt = seq.index(SEP_BYTE) + 1
     bounds = [0, n_prompt, n_prompt + 1, n_prompt + 2, n_prompt + 5]
     steps_at = (1, n_prompt, len(seq) - 1)
+    # the block of the model's mask for positions [start, end) is the mask of
+    # that chunk: (i, c) is masked iff c > start + i
+    for start, T in ((0, 5), (3, 4), (CFG.max_seq - 2, 2)):
+        end = start + T
+        assert np.array_equal(model.causal[start:end, :end],
+                              np.triu(np.full((T, end), -1e9, np.float32), k=start + 1))
 
     def step(adapters, n):
-        kv = KvCache()
-        model.forward_cached(seq[:n], adapters, kv)
-        return model.forward_cached(seq[n:n + 1], adapters, kv)[0]
+        view, kv = model.with_adapters(adapters), KvCache()
+        view.forward_cached(seq[:n], kv)
+        return view.forward_cached(seq[n:n + 1], kv)[0]
 
     steps = {}
     for adapters in (trained, None):
-        full = model.forward_cached(seq, adapters)[0]
+        view = model.with_adapters(adapters)
+        full = view.forward_cached(seq)[0]
         kv = KvCache()
         for lo, hi in zip(bounds, bounds[1:]):
-            logits, _ = model.forward_cached(seq[lo:hi], adapters, kv)
+            logits, _ = view.forward_cached(seq[lo:hi], kv)
             assert kv.length == hi
             np.testing.assert_allclose(logits, full[lo:hi], rtol=1e-5, atol=1e-6)
         for n in steps_at:
@@ -323,11 +378,11 @@ def test_layernorm_and_softmax_keep_the_ndarray_method_bits(shape):
 def test_kv_cache_rejects_overflow_and_keeps_its_state():
     model = TinyLm(init_model(CFG))
     kv = KvCache()
-    model.forward_cached([BOS_ID] * (CFG.max_seq - 1), None, kv)
+    model.forward_cached([BOS_ID] * (CFG.max_seq - 1), kv)
     with pytest.raises(LmError):
-        model.forward_cached([SEP_BYTE, SEP_BYTE], None, kv)
+        model.forward_cached([SEP_BYTE, SEP_BYTE], kv)
     assert kv.length == CFG.max_seq - 1
-    assert model.forward_cached([SEP_BYTE], None, kv)[0].shape == (1, CFG.vocab_size)
+    assert model.forward_cached([SEP_BYTE], kv)[0].shape == (1, CFG.vocab_size)
     assert kv.length == CFG.max_seq
 
 
@@ -338,11 +393,11 @@ def test_no_result_is_overwritten_by_a_later_step_or_call():
     weights = {n: t.tobytes() for n, t in model.w.items()}
     factors = [t.tobytes() for t in (*adapters.a.values(), *adapters.b.values())]
     prompt = encode_prompt("fault e01 link")
-    kv = KvCache()
-    held = [model.forward_cached(prompt, adapters, kv)[0]]
+    view, kv = model.with_adapters(adapters), KvCache()
+    held = [view.forward_cached(prompt, kv)[0]]
     copies = [held[0].copy()]
     for tok in (SEP_BYTE, BOS_ID, 65):
-        held.append(model.forward_cached([tok], adapters, kv)[0])
+        held.append(view.forward_cached([tok], kv)[0])
         copies.append(held[-1].copy())
     assert all(np.array_equal(h, c) for h, c in zip(held, copies))
     first = greedy_decode(model, adapters, prompt, 24)
@@ -357,11 +412,12 @@ def test_no_result_is_overwritten_by_a_later_step_or_call():
 
 def reference_decode(model, adapters, prompt, max_new):
     """Greedy decoding that runs the whole sequence through the model each step."""
+    model = model.with_adapters(adapters)
     seq = list(prompt)
     for _ in range(max_new):
         if len(seq) >= model.config.max_seq:
             break
-        nxt = int(np.argmax(model.forward_cached(seq, adapters)[0][-1]))
+        nxt = int(np.argmax(model.forward_cached(seq)[0][-1]))
         seq.append(nxt)
         if nxt == EOS_ID:
             break
@@ -420,8 +476,8 @@ def test_merge_adapters_equivalence():
                 + adapters.scaling * (adapters.a[name] @ adapters.b[name])).astype(np.float32)
         got = merged.tensors[name]
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-    la = model.forward_cached(seqs[0], adapters)[0]
-    lm = TinyLm(merged).forward_cached(seqs[0], None)[0]
+    la = model.with_adapters(adapters).forward_cached(seqs[0])[0]
+    lm = TinyLm(merged).forward_cached(seqs[0])[0]
     assert np.abs(la - lm).max() <= 1e-5
 
     zeroed = init_adapters(CFG, rank=4, alpha=8, seed=1)  # B == 0
