@@ -43,20 +43,24 @@ class PruneSpec:
             raise PruneError(f"unknown method {self.method!r}")
 
 
-def _magnitude_drop_order(values: np.ndarray) -> np.ndarray:
-    # ascending |w|; among equal magnitudes the higher flat index drops first
-    flat = np.abs(values.reshape(-1))
-    return np.lexsort((-np.arange(flat.size), flat))
-
-
 def magnitude_mask(values: np.ndarray, ratio: float) -> np.ndarray:
-    """Keep-mask zeroing exactly floor(ratio * count) smallest-|w| entries."""
+    """Keep-mask zeroing exactly k = floor(ratio * count) smallest-|w|
+    entries; among equal magnitudes the higher flat index drops first. O(n):
+    the k-th smallest |w| comes from a partition, every entry below it drops,
+    then the highest-indexed entries equal to it until k have dropped. The
+    values are finite: `quantize` and `load_bundle` refuse any other."""
     if not 0 < ratio < 1:
         raise PruneError(f"ratio must be in (0,1), got {ratio}")
     values = np.asarray(values)
-    k = math.floor(ratio * values.size)
-    mask = np.ones(values.size, dtype=bool)
-    mask[_magnitude_drop_order(values)[:k]] = False
+    flat = np.abs(values.reshape(-1))
+    k = math.floor(ratio * flat.size)
+    mask = np.ones(flat.size, dtype=bool)
+    if k:
+        kth = np.partition(flat, k - 1)[k - 1]
+        below = flat < kth
+        mask[below] = False
+        ties = np.flatnonzero(flat == kth)
+        mask[ties[ties.size - (k - np.count_nonzero(below)):]] = False
     return mask.reshape(values.shape)
 
 

@@ -5,6 +5,12 @@ Compute runs in float32 throughout: `TinyLm` dequantizes every weight once, so
 reduced precision changes the weight values and the stored size, not the
 arithmetic. Training is plain gradient descent, one step per sequence, on
 mean next-token cross-entropy, updating the adapter factors A and B only.
+
+Adapters are applied in one of two forms, chosen by how long they stay
+fixed. Training changes them every step, so it runs them unmerged over the
+frozen base, y = x @ W + s·(x @ A) @ B, as QLoRA does. Evaluation holds them
+fixed over many decode steps, so it merges them once into a
+`TinyLm.with_adapters` view, W + s·A@B.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 # (NumPy < 2) a Python float with a float32 scalar gives float64.
 _F32_EPS, _F32_GELU_C, _F32_GELU_A = np.float32(LN_EPS), np.float32(_GELU_C), np.float32(0.044715)
 _F32_HALF, _F32_ONE = np.float32(0.5), np.float32(1.0)
+_F32_3A, _F32_HALF_C = np.float32(3 * 0.044715), np.float32(0.5 * _GELU_C)
 _f32 = functools.cache(np.float32)  # keyed by row width: ~0.1 us a hit, ~0.5 us to build
 _BOOLS = {bool, np.bool_}
 
@@ -155,15 +162,29 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu(x) / dx, given the tanh `_gelu(x)` returned."""
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    """d gelu(x) / dx = 0.5 * (1 + t) + 0.5 * c * x * (1 - t*t) * (1 + 3a * x*x),
+    given the tanh `t` `_gelu(x)` returned. Two new arrays; every other
+    product and sum runs in place."""
+    d = x * x
+    d *= _F32_3A
+    d += _F32_ONE
+    d *= x
+    d *= _F32_HALF_C
+    u = t * t
+    np.subtract(_F32_ONE, u, out=u)
+    d *= u
+    np.add(t, _F32_ONE, out=u)
+    u *= _F32_HALF
+    d += u
+    return d
 
 
 def _nll(logits: np.ndarray, seq):
-    """Summed next-token negative log-likelihood of `seq` under `logits`,
-    plus the softmax rows and targets its gradient needs."""
+    """Summed next-token negative log-likelihood of `seq` under `logits`, the
+    logits of `seq[:-1]`, plus the softmax rows and targets its gradient
+    needs."""
     targets = np.asarray(seq[1:], dtype=np.int64)
-    probs = _softmax(logits[:-1])
+    probs = _softmax(logits)
     picked = probs[np.arange(targets.size), targets]
     return float(-np.sum(np.log(np.maximum(picked, 1e-30), dtype=np.float64))), probs, targets
 
@@ -201,6 +222,18 @@ def _layernorm_backward(dy, cache):
     )
 
 
+def _add_low_rank(y, x, adapters: LoraAdapters, name: str, s):
+    """y += s·(x @ A) @ B in place, for the adapter pair `name`; returns
+    s·(x @ A), which dB reads."""
+    xa = x @ adapters.a[name]
+    xa *= s
+    y += xa @ adapters.b[name]
+    return xa
+
+
+_QKV = ("attn.wq", "attn.wk", "attn.wv")
+
+
 @dataclass
 class KvCache:
     """The keys and values of the positions `TinyLm.forward_cached` has run
@@ -218,7 +251,8 @@ class KvCache:
 
 class TinyLm:
     """Runtime view of a bundle: dense float32 weights. `with_adapters` gives
-    the view a set of LoRA adapters is evaluated and trained through."""
+    the view a set of LoRA adapters is evaluated through; `loss_and_grads`
+    trains them unmerged over these weights."""
 
     def __init__(self, bundle: ModelBundle):
         self.config = bundle.config
@@ -230,6 +264,7 @@ class TinyLm:
         self.n_heads = self.config.n_heads
         self.d_head = self.config.d_model // self.n_heads
         self.sqrt_d_head = np.float32(math.sqrt(self.d_head))
+        self._wt = None  # `_transposes()`, built on this model's first training step
 
     def _layer_weights(self) -> list[dict[str, np.ndarray]]:
         return [{m: self.w[f"layers.{i}.{m}"] for m in WEIGHT_MATRICES}
@@ -239,10 +274,13 @@ class TinyLm:
         """This model with each adapted matrix w replaced by w + s·A@B, built
         once: `adapters.delta(name)`, a new float32 array, then w added to it
         in place. Every other array is the model's own; the model is not
-        changed. None gives the model itself."""
+        changed. None gives the model itself. The view evaluates fixed
+        adapters; training runs them unmerged (`loss_and_grads`). A view
+        trained on builds transposes of its own weights, never the model's."""
         if adapters is None:
             return self
         view = copy.copy(self)
+        view._wt = None
         view.w = dict(self.w)
         for name in adapters.a:
             w = adapters.delta(name)
@@ -281,13 +319,17 @@ class TinyLm:
             return x.reshape(1, -1)
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
-    def forward_cached(self, tokens, kv: KvCache | None = None):
+    def forward_cached(self, tokens, kv: KvCache | None = None, *,
+                       adapters: LoraAdapters | None = None):
         """Logits of `tokens` and the activations backward needs, under this
-        model's weights (a `with_adapters` view carries its adapters). With
-        `kv`, `tokens` continue the sequence the cache holds, their keys and
-        values are written into it, and no activations are kept: the second
-        item is None, as a cached forward is never differentiated. Each call
-        on one cache must be made on the same model."""
+        model's weights (a `with_adapters` view carries its adapters merged).
+        With `adapters`, each adapted projection adds its low-rank path
+        unmerged, y = x @ W + s·(x @ A) @ B, and the activations keep
+        s·(x @ A) for dB. With `kv`, `tokens` continue the sequence the cache
+        holds, their keys and values are written into it, and no activations
+        are kept: the second item is None, as a cached forward is never
+        differentiated. Each call on one cache must be made on the same model
+        and adapters."""
         start = kv.length if kv is not None else 0
         ids = self._check_tokens(tokens, start)
         T = ids.size
@@ -295,12 +337,17 @@ class TinyLm:
         x = self.w["tok_emb"][ids] + self.w["pos_emb"][start:end]
         # One new token may attend to every cached position: no mask to add.
         causal = self.causal[start:end, :end] if T > 1 else None
+        if adapters is not None:
+            s = np.float32(adapters.scaling)
         layers = []
         for i, w in enumerate(self.layers):
             h, ln1c = _layernorm(x)
-            q = self._split_heads(h @ w["attn.wq"])
-            k = self._split_heads(h @ w["attn.wk"])
-            v = self._split_heads(h @ w["attn.wv"])
+            q, k, v = h @ w["attn.wq"], h @ w["attn.wk"], h @ w["attn.wv"]
+            xa = None
+            if adapters is not None:
+                p = f"layers.{i}."
+                xa = {m: _add_low_rank(y, h, adapters, p + m, s) for m, y in zip(_QKV, (q, k, v))}
+            q, k, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
             if kv is not None:
                 if i == len(kv.k):
                     shape = (self.n_heads, self.config.max_seq, self.d_head)
@@ -315,14 +362,22 @@ class TinyLm:
                 scores += causal
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
-            x += o @ w["attn.wo"]
+            y = o @ w["attn.wo"]
+            if xa is not None:
+                xa["attn.wo"] = _add_low_rank(y, o, adapters, p + "attn.wo", s)
+            x += y
             h2, ln2c = _layernorm(x)
             u = h2 @ w["mlp.w1"]
+            if xa is not None:
+                xa["mlp.w1"] = _add_low_rank(u, h2, adapters, p + "mlp.w1", s)
             g, gt = _gelu(u)
-            x += g @ w["mlp.w2"]
+            y = g @ w["mlp.w2"]
+            if xa is not None:
+                xa["mlp.w2"] = _add_low_rank(y, g, adapters, p + "mlp.w2", s)
+            x += y
             if kv is None:
-                layers.append(dict(p=f"layers.{i}.", w=w, ln1c=ln1c, h=h, q=q, k=k, v=v,
-                                   probs=probs, o=o, ln2c=ln2c, h2=h2, u=u, gt=gt, g=g))
+                layers.append(dict(ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs, o=o,
+                                   ln2c=ln2c, h2=h2, u=u, gt=gt, g=g, xa=xa))
         xf, lnfc = _layernorm(x)
         logits = xf @ self.w["head"]
         if kv is None:
@@ -330,50 +385,78 @@ class TinyLm:
         kv.length = end
         return logits, None
 
-    def _backward_io(self, dlogits, cache):
-        """Propagate dL/dlogits back to each weight matrix's (input, output
-        gradient) pair, so dL/dW_eff = input.T @ output gradient is never formed
-        as p x q. The embeddings are frozen: the pass stops at layer 0's pairs."""
-        io = {}
-        dx = _layernorm_backward(dlogits @ self.w["head"].T, cache["lnfc"])
-        for lc in reversed(cache["layers"]):
-            p, w = lc["p"], lc["w"]
+    def _transposes(self) -> dict[str, np.ndarray]:
+        """C-ordered copies of W.T for each frozen matrix the backward
+        multiplies by its transpose: the head and every adapted matrix except
+        layer 0's q, k and v, whose input gradient is never needed. BLAS runs
+        a C-ordered operand faster than the strided `W.T` view. Built on the
+        first call and kept, so only a model that is trained pays for them."""
+        if self._wt is None:
+            names = ["head"] + [f"layers.{i}.{m}" for i in range(self.config.n_layers)
+                                for m in WEIGHT_MATRICES if i > 0 or m not in _QKV]
+            self._wt = {n: np.ascontiguousarray(self.w[n].T) for n in names}
+        return self._wt
+
+    def _backward(self, dlogits, cache, adapters: LoraAdapters):
+        """dL/dA and dL/dB of every adapter factor, from dL/dlogits and the
+        activations of an unmerged forward. Each adapted projection's output
+        gradient dY gives dA = x.T @ G and dB = (s·x @ A).T @ dY with
+        G = s·dY @ B.T, and its input gradient dX = dY @ W.T + G @ A.T. The
+        embeddings are frozen: the pass stops at layer 0's adapters."""
+        wt = self._transposes()
+        s = np.float32(adapters.scaling)
+        grads = {}
+
+        def back(name, x, xa, dy):
+            g = dy @ adapters.b[name].T
+            g *= s
+            grads[name] = (x.T @ g, xa.T @ dy)
+            return g
+
+        def back_dx(name, x, xa, dy):
+            dx = dy @ wt[name]
+            dx += back(name, x, xa, dy) @ adapters.a[name].T
+            return dx
+
+        dx = _layernorm_backward(dlogits @ wt["head"], cache["lnfc"])
+        for i, lc in reversed(list(enumerate(cache["layers"]))):
+            p, xa = f"layers.{i}.", lc["xa"]
             # MLP branch
-            du = (dx @ w["mlp.w2"].T) * _gelu_grad(lc["u"], lc["gt"])
-            dx1 = dx + _layernorm_backward(du @ w["mlp.w1"].T, lc["ln2c"])
+            du = back_dx(p + "mlp.w2", lc["g"], xa["mlp.w2"], dx)
+            du *= _gelu_grad(lc["u"], lc["gt"])
+            dx1 = dx + _layernorm_backward(back_dx(p + "mlp.w1", lc["h2"], xa["mlp.w1"], du),
+                                           lc["ln2c"])
             # attention branch
-            do = self._split_heads(dx1 @ w["attn.wo"].T)
+            do = self._split_heads(back_dx(p + "attn.wo", lc["o"], xa["attn.wo"], dx1))
             dprobs = do @ lc["v"].transpose(0, 2, 1)
             dv = self._merge_heads(lc["probs"].transpose(0, 2, 1) @ do)
             dscores = (dprobs - (dprobs * lc["probs"]).sum(axis=-1, keepdims=True)) * lc["probs"]
             dscores /= self.sqrt_d_head
             dq = self._merge_heads(dscores @ lc["k"])
             dk = self._merge_heads(dscores.transpose(0, 2, 1) @ lc["q"])
-            io.update({p + "attn.wq": (lc["h"], dq), p + "attn.wk": (lc["h"], dk),
-                       p + "attn.wv": (lc["h"], dv), p + "attn.wo": (lc["o"], dx1),
-                       p + "mlp.w1": (lc["h2"], du), p + "mlp.w2": (lc["g"], dx)})
-            if lc is not cache["layers"][0]:
-                dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
+            h = lc["h"]
+            if i == 0:  # no input gradient: the embeddings are frozen
+                for m, dy in zip(_QKV, (dq, dk, dv)):
+                    back(p + m, h, xa[m], dy)
+            else:
+                dh = back_dx(p + "attn.wq", h, xa["attn.wq"], dq)
+                dh += back_dx(p + "attn.wk", h, xa["attn.wk"], dk)
+                dh += back_dx(p + "attn.wv", h, xa["attn.wv"], dv)
                 dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
-        return io
+        return grads
 
     def loss_and_grads(self, seq, adapters: LoraAdapters):
         """Mean next-token cross-entropy over the predicted positions of one
-        sequence, plus gradients w.r.t. every adapter factor. The forward runs
-        on `with_adapters(adapters)`, built for this step."""
-        logits, cache = self.with_adapters(adapters).forward_cached(seq)
-        nll, probs, targets = _nll(logits, seq)
-        dlogits = np.zeros_like(logits)
-        dlogits[:-1] = probs
+        sequence, plus gradients w.r.t. every adapter factor. The adapters
+        run unmerged over this model's frozen weights (`forward_cached` with
+        `adapters=`); no merged view is built."""
+        # The last token predicts nothing and, under the causal mask, moves
+        # no earlier logit: the forward runs only the positions that predict.
+        logits, cache = self.forward_cached(seq[:-1], adapters=adapters)
+        nll, dlogits, targets = _nll(logits, seq)
         dlogits[np.arange(targets.size), targets] -= 1.0
         dlogits /= targets.size
-        # dA = s * dW @ B.T and dB = s * A.T @ dW, with dW = inp.T @ dout
-        # kept factored: the intermediates are T x r and r x q.
-        s = adapters.scaling
-        grads = {name: (s * (inp.T @ (dout @ adapters.b[name].T)),
-                        s * ((inp @ adapters.a[name]).T @ dout))
-                 for name, (inp, dout) in self._backward_io(dlogits, cache).items()}
-        return nll / targets.size, grads
+        return nll / targets.size, self._backward(dlogits, cache, adapters)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Reference helpers the tests compare the package against: quantization
 error, bit-exact bundle equality, the forward-only evaluation loss, a model
-with its adapters added one matrix at a time, the `ndarray.mean`/`var`/`max`/
-`sum` forms of layernorm and softmax, and one loop-1 cell fine-tuned on its
-own."""
+with its adapters added one matrix at a time, the backward pass through a
+model's dense (merged) weights, the `ndarray.mean`/`var`/`max`/`sum` forms
+of layernorm and softmax, the sort order of magnitude pruning, and one
+loop-1 cell fine-tuned on its own."""
+
+import math
 
 import numpy as np
 
@@ -10,7 +13,7 @@ from ealm import tinylm
 from ealm.pipeline import _decode_all
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
 from ealm.tensors import Lineage, ModelBundle, QuantizedTensor
-from ealm.tinylm import LN_EPS, _nll
+from ealm.tinylm import LN_EPS, _gelu_grad, _layernorm_backward, _nll
 
 
 def quant_error(arr, spec) -> dict:
@@ -45,13 +48,14 @@ def bundles_equal(a, b) -> bool:
 
 def evaluation_loss(model, sequences, adapters=None) -> float:
     """Token-mean next-token cross-entropy from the forward pass alone, with
-    the per-sequence arithmetic `TinyLm.loss_and_grads` uses."""
+    the per-sequence arithmetic `TinyLm.loss_and_grads` uses: the adapters
+    run unmerged, over the positions that predict."""
     n_pred = 0
     total = 0.0
     for seq in sequences:
         if len(seq) < 2:
             continue
-        total += _nll(model.with_adapters(adapters).forward_cached(seq)[0], seq)[0]
+        total += _nll(model.forward_cached(seq[:-1], adapters=adapters)[0], seq)[0]
         n_pred += len(seq) - 1
     return total / max(n_pred, 1)
 
@@ -63,6 +67,49 @@ def adapted_model(model, adapters):
     tensors = {name: w + s * (adapters.a[name] @ adapters.b[name]) if name in adapters.a else w
                for name, w in model.w.items()}
     return tinylm.TinyLm(ModelBundle(tensors=tensors, config=model.config, lineage=Lineage()))
+
+
+def float64(obj):
+    """`obj` with every float32 array in its nest of dicts, lists and tuples
+    cast to float64."""
+    if isinstance(obj, np.ndarray):
+        return obj.astype(np.float64)
+    if isinstance(obj, dict):
+        return {k: float64(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(float64(v) for v in obj)
+    return obj
+
+
+def backward_io(model, dlogits, cache):
+    """dL/dlogits propagated back in float64 through `model`'s own weights (a
+    merged `with_adapters` view's W + s·A@B) to each weight matrix's (input,
+    output gradient) pair, so dL/dW_eff = input.T @ output gradient. `cache`
+    holds the activations of a `forward_cached` of the same weights, merged
+    or not. The embeddings are frozen: the pass stops at layer 0's pairs."""
+    io = {}
+    cache = float64(cache)
+    dx = _layernorm_backward(float64(dlogits) @ float64(model.w["head"]).T, cache["lnfc"])
+    for i, (lc, w) in reversed(list(enumerate(zip(cache["layers"], float64(model.layers))))):
+        p = f"layers.{i}."
+        # MLP branch
+        du = (dx @ w["mlp.w2"].T) * _gelu_grad(lc["u"], lc["gt"])
+        dx1 = dx + _layernorm_backward(du @ w["mlp.w1"].T, lc["ln2c"])
+        # attention branch
+        do = model._split_heads(dx1 @ w["attn.wo"].T)
+        dprobs = do @ lc["v"].transpose(0, 2, 1)
+        dv = model._merge_heads(lc["probs"].transpose(0, 2, 1) @ do)
+        dscores = (dprobs - (dprobs * lc["probs"]).sum(axis=-1, keepdims=True)) * lc["probs"]
+        dscores /= model.sqrt_d_head
+        dq = model._merge_heads(dscores @ lc["k"])
+        dk = model._merge_heads(dscores.transpose(0, 2, 1) @ lc["q"])
+        io.update({p + "attn.wq": (lc["h"], dq), p + "attn.wk": (lc["h"], dk),
+                   p + "attn.wv": (lc["h"], dv), p + "attn.wo": (lc["o"], dx1),
+                   p + "mlp.w1": (lc["h2"], du), p + "mlp.w2": (lc["g"], dx)})
+        if i > 0:
+            dh = dq @ w["attn.wq"].T + dk @ w["attn.wk"].T + dv @ w["attn.wv"].T
+            dx = dx1 + _layernorm_backward(dh, lc["ln1c"])
+    return io
 
 
 def layernorm(x, g, b):
@@ -89,6 +136,16 @@ def softmax(x):
     """Softmax over the last axis through `ndarray.max` and `ndarray.sum`."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def magnitude_mask(values, ratio):
+    """Keep-mask of magnitude pruning by a full sort: ascending |w|, among
+    equal magnitudes the higher flat index first; the first floor(ratio * n)
+    drop."""
+    flat = np.abs(np.asarray(values).reshape(-1))
+    mask = np.ones(flat.size, dtype=bool)
+    mask[np.lexsort((-np.arange(flat.size), flat))[:math.floor(ratio * flat.size)]] = False
+    return mask.reshape(np.shape(values))
 
 
 def finetune_alone(config, bits, epochs, train_records, eval_records):

@@ -15,6 +15,8 @@ from ealm.quant import QuantSpec, default_target_filter, quantize_bundle
 from ealm.tensors import LmConfig, QuantizedTensor
 from ealm.tinylm import init_model
 
+import oracles
+
 
 def test_magnitude_examples():
     mask = magnitude_mask(np.asarray([1.0, -2.0, 3.0, -4.0], np.float32), 0.5)
@@ -34,6 +36,19 @@ def test_magnitude_matches_sort_oracle():
         order = sorted(range(t.size), key=lambda i: (abs(t.flat[i]), -i))
         dropped = set(order[:k])
         assert {i for i in range(t.size) if not mask.flat[i]} == dropped
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (16, 32), (128, 512)])
+def test_magnitude_matches_lexsort_oracle_on_heavy_ties(shape):
+    # values on 4- and 8-bit grids tie in magnitude often, and across signs
+    rng = np.random.default_rng(sum(shape))
+    for qmax in (7, 127):
+        t = (rng.integers(-qmax, qmax + 1, size=shape) * 0.25).astype(np.float32)
+        for ratio in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99):
+            np.testing.assert_array_equal(magnitude_mask(t, ratio),
+                                          oracles.magnitude_mask(t, ratio))
+    # floor(ratio * n) = 0 drops nothing
+    assert magnitude_mask(np.ones(shape, np.float32), 0.5 / np.prod(shape)).all()
 
 
 def test_magnitude_ratio_bounds():

@@ -5,6 +5,7 @@ import pytest
 
 from ealm import tinylm
 from ealm.data import generate_synthetic_corpus
+from ealm.pipeline import _decode_all
 from ealm.prune import PruneSpec, prune_bundle
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
 from ealm.tensors import LmConfig, ModelBundle, payload_bytes
@@ -58,8 +59,10 @@ def test_forward_shape_and_zero_adapter_equivalence():
     logits = model.with_adapters(adapters).forward_cached(seqs[0])[0]
     assert logits.shape == (len(seqs[0]), CFG.vocab_size)
     assert np.isfinite(logits).all()
-    # B starts at zero, so the adapter path must match the base exactly
+    # B starts at zero, so the adapter path must match the base exactly,
+    # merged or not
     assert np.array_equal(logits, model.forward_cached(seqs[0])[0])
+    assert np.array_equal(logits, model.forward_cached(seqs[0], adapters=adapters)[0])
 
     one = model.forward_cached([tinylm.BOS_ID])[0]
     assert one.shape == (1, CFG.vocab_size)
@@ -195,16 +198,19 @@ def test_low_rank_grads_match_dense_float64_oracle(n_layers):
     for seq in seqs:
         _, grads = model.loss_and_grads(seq, adapters)
         assert set(grads) == set(adapters.a)  # a pair for every factor, layer 0's too
-        # Oracle: the sequence's (input, output gradient) pairs, contracted in
-        # float64 through the dense p x q dL/dW_eff.
-        logits, cache = model.with_adapters(adapters).forward_cached(seq)
-        dlogits = np.zeros(logits.shape, dtype=np.float64)
-        dlogits[:-1] = tinylm._softmax(logits[:-1].astype(np.float64))
+        # Oracle: from the activations of the forward training runs, the
+        # backward in float64 through the merged view's dense W + s·A@B to
+        # each matrix's (input, output gradient) pair, contracted through the
+        # dense p x q dL/dW_eff.
+        logits, cache = model.forward_cached(seq[:-1], adapters=adapters)
+        dlogits = tinylm._softmax(logits.astype(np.float64))
         dlogits[np.arange(len(seq) - 1), seq[1:]] -= 1.0
-        dlogits = (dlogits / (len(seq) - 1)).astype(np.float32)
+        dlogits /= len(seq) - 1
         want = {}
-        for name, (inp, dout) in model._backward_io(dlogits, cache).items():
-            dw = inp.astype(np.float64).T @ dout.astype(np.float64)
+        for name, (inp, dout) in oracles.backward_io(model.with_adapters(adapters), dlogits,
+                                                     cache).items():
+            assert inp.dtype == dout.dtype == np.float64
+            dw = inp.T @ dout
             want[name] = (s * (dw @ adapters.b[name].astype(np.float64).T),
                           s * (adapters.a[name].astype(np.float64).T @ dw))
         assert set(want) == set(adapters.a)
@@ -272,14 +278,79 @@ def test_with_adapters_keeps_the_bits_of_a_per_matrix_rebuild(monkeypatch, d_mod
         assert np.array_equal(step, ref.forward_cached(new, kv_ref)[0])
         assert int(step[-1].argmax()) == nxt
         new = [nxt]
-    # training: the same loss and gradients with the oracle in place of the view
-    got = [model.loss_and_grads(seq, adapters) for seq in seqs]
-    monkeypatch.setattr(TinyLm, "with_adapters", oracles.adapted_model)
-    for seq, (loss, grads) in zip(seqs, got):
-        want_loss, want = model.loss_and_grads(seq, adapters)
-        assert loss == want_loss and set(grads) == set(want) == set(adapters.a)
-        for name, pair in grads.items():
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(pair, want[name]))
+    # training runs the adapters unmerged, with no view, and drops the last
+    # position: its loss is the merged view's full-sequence loss to float32
+    # rounding
+    merged = [tinylm._nll(view.forward_cached(seq)[0][:-1], seq)[0] for seq in seqs]
+
+    def no_view(*args):
+        raise AssertionError("training built a merged view")
+
+    monkeypatch.setattr(TinyLm, "with_adapters", no_view)
+    for seq, nll in zip(seqs, merged):
+        loss, grads = model.loss_and_grads(seq, adapters)
+        assert set(grads) == set(adapters.a)
+        assert loss == pytest.approx(nll / (len(seq) - 1), rel=1e-6)
+
+
+def test_training_builds_c_ordered_transposes_once_per_model(monkeypatch):
+    bundle, adapters, seqs = small_setup()
+    model = TinyLm(bundle)
+    built = []
+    real = TinyLm._transposes
+
+    def counting(self):
+        built.append(self._wt is None)
+        return real(self)
+
+    monkeypatch.setattr(TinyLm, "_transposes", counting)
+    records = generate_synthetic_corpus(seed=0, n_records=2, grammar_size=2)
+    _decode_all(model, adapters, records, 8)
+    greedy_decode(model, adapters, encode_prompt("fault e01 link"), 8)
+    assert built == [] and model._wt is None  # evaluation never builds them
+    adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
+    wt = dict(model._wt)
+    train_epoch(model, adapters, seqs, lr=0.05)
+    assert built == [True] + [False] * (2 * len(seqs) - 1)
+    assert list(model._wt) == list(wt) and all(model._wt[n] is t for n, t in wt.items())
+    # the head and every adapted matrix but layer 0's q, k and v
+    assert set(wt) == {"head"} | set(adapters.a) - {f"layers.0.{m}" for m in tinylm._QKV}
+    for name, t in wt.items():
+        assert t.flags.c_contiguous and t.dtype == np.float32
+        assert np.array_equal(t, model.w[name].T) and not np.shares_memory(t, model.w[name])
+    # a view never reuses its base's: trained on, it builds its own
+    view = model.with_adapters(adapters)
+    assert view._wt is None
+    view.loss_and_grads(seqs[0], adapters)
+    assert view._wt is not model._wt
+    for name, t in view._wt.items():
+        assert np.array_equal(t, view.w[name].T)
+        assert (name == "head") == np.array_equal(t, model._wt[name])
+
+
+def arrays_in(obj):
+    """Every ndarray in a nest of dicts, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [a for o in obj for a in arrays_in(o)] if isinstance(obj, (list, tuple)) else []
+
+
+def test_training_keeps_every_activation_and_gradient_float32():
+    # one float64 operand in the chain would make every later array float64;
+    # before NEP 50 (the NumPy 1.24 CI job) a float32 scalar with a Python
+    # float gives one
+    model, adapters, seqs = trained_setup()
+    for seq in seqs:
+        logits, cache = model.forward_cached(seq, adapters=adapters)
+        arrays = [logits, *arrays_in(cache)]
+        # logits, the last layer norm's (xhat, inv) and, per layer, 10 activations,
+        # two layer norms' (xhat, inv) and s·(x @ A) of its 6 matrices
+        assert len(arrays) == 3 + 20 * CFG.n_layers and all(a.dtype == np.float32 for a in arrays)
+        loss, grads = model.loss_and_grads(seq, adapters)
+        assert type(loss) is float
+        assert all(g.dtype == np.float32 for pair in grads.values() for g in pair)
 
 
 def test_with_adapters_shares_the_base_and_leaves_it_unchanged():
