@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .tensors import check_types
 from .tinylm import encode_example, named_rng
 
 
@@ -21,8 +22,13 @@ class DatasetRecord:
     reference: str
 
     def __post_init__(self):
+        check_types(DatasetRecord, vars(self), DataError)
         if not self.prompt.strip() or not self.reference.strip():
             raise DataError("prompt and reference must be nonempty")
+        try:  # the byte tokenizer encodes UTF-8; a lone surrogate has none
+            self.prompt.encode("utf-8"), self.reference.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise DataError(f"prompt or reference is not UTF-8 encodable: {e}") from e
 
 
 def load_jsonl(path) -> list[DatasetRecord]:
@@ -43,7 +49,7 @@ def read_jsonl(path) -> list[tuple[int, DatasetRecord]]:
             obj = json.loads(line)
             records.append((lineno, DatasetRecord(prompt=obj["prompt"],
                                                   reference=obj["reference"])))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, DataError) as e:
             raise DataError(f"{path}:{lineno}: bad record: {e}") from e
     if not records:
         raise DataError(f"{path}: empty dataset")

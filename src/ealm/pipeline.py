@@ -28,11 +28,8 @@ from .meter import (
 )
 from .metrics import MetricScores, score_outputs
 from .rank import CandidateRecord, TrainRecord
-from .tensors import (BundleError, Lineage, LmConfig, check_types, default_target_filter, fits,
-                      load_bundle, payload_bytes, read_tensors, save_bundle, write_atomic,
-                      write_tensors)
-
-import numpy as np
+from .tensors import (BundleError, Lineage, LmConfig, ModelBundle, check_types, load_bundle,
+                      payload_bytes, save_bundle, write_atomic)
 
 
 class ConfigError(Exception):
@@ -187,17 +184,19 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     charged every epoch its adapters went through plus its own evaluation,
     so loop-1 candidates share epochs and their joules add up to more than
     the run spent. A quantization error fails all of a width's candidates, a
-    training error at epoch j those with N >= j, and an evaluation error only
-    its own candidate.
+    training error at epoch j those with N >= j, and an evaluation or merge
+    error only its own candidate.
 
-    Returns (records, artifacts) in grid order, where artifacts[id] holds the
-    trained bundle, which carries the candidate's lineage, and its adapters.
+    Returns (records, artifacts) in grid order, where artifacts[id] is the
+    model loop 2 prunes: the candidate's adapters merged into its quantized
+    bundle at its own width (`tinylm.merge_adapters`), outside every span,
+    carrying the candidate's lineage.
     """
     lm_cfg = config.lm_config()
     base32 = tinylm.init_model(lm_cfg)
     sequences = [tinylm.encode_example(r.prompt, r.reference) for r in train_records]
     records: list[CandidateRecord] = []
-    artifacts: dict[str, dict] = {}
+    artifacts: dict[str, ModelBundle] = {}
     for bits in config.bits_grid:
         lineages = {n: Lineage(precision_bits=bits, epochs_trained=n) for n in config.epochs_grid}
         done: dict[int, CandidateRecord] = {}
@@ -220,6 +219,9 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                     scores, eval_energy = evaluate_model(
                         model, adapters, eval_records, meter, config.max_new_tokens
                     )
+                    # the model loop 2 prunes, merged outside every span
+                    artifacts[cid] = tinylm.merge_adapters(
+                        dataclasses.replace(bundle, lineage=lineage), adapters)
                 except CANDIDATE_ERRORS as e:
                     done[epoch] = _failed(cid, lineage, "finetune", e)
                     continue
@@ -234,9 +236,6 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                     extra={"payload_bytes": payload_bytes(bundle),
                            "eval_energy": eval_energy.to_dict()},
                 )
-                # train_epoch returns new adapters, so these stay epoch N's
-                artifacts[cid] = {"bundle": dataclasses.replace(bundle, lineage=lineage),
-                                  "adapters": adapters}
         except CANDIDATE_ERRORS as e:  # fails each candidate not yet reached
             for n, lineage in lineages.items():
                 done.setdefault(n, _failed(f"ft-b{bits}-e{n}", lineage, "finetune", e))
@@ -283,23 +282,16 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
                    meter: Meter, eval_records, baseline: CandidateRecord):
     """Loop 2: for each selected model, the unpruned reference evaluation plus
     every unstructured ratio and every N:M pattern, all metered at inference.
-    Each parent's adapters are merged into its weights at its own width first,
-    so the masks zero the weights the model computes on. phi is relative to
+    artifacts[id] is each parent's merged model (see `run_finetune_grid`), so
+    the masks zero the weights the model computes on. phi is relative to
     `baseline`'s loop-1 inference span."""
     records: list[CandidateRecord] = []
     for parent in topk:
-        art, merge_error = artifacts[parent.id], None
-        try:
-            bundle = tinylm.merge_adapters(art["bundle"], art["adapters"])
-        except CANDIDATE_ERRORS as e:  # fails each of this parent's variants
-            merge_error = e
+        bundle = artifacts[parent.id]
         for suffix, spec in config.prune_variants():
             cid = f"{parent.id}-{suffix}"
             lineage = dataclasses.replace(parent.lineage, parent_id=parent.id,
                                           prune=dataclasses.asdict(spec) if spec else None)
-            if merge_error is not None:
-                records.append(_failed(cid, lineage, "prune", merge_error))
-                continue
             try:
                 pruned = prune_mod.prune_bundle(bundle, spec) if spec else bundle
                 lineage.sparsity = prune_mod.sparsity(pruned)
@@ -447,53 +439,23 @@ def load_candidates(path) -> list[CandidateRecord]:
 
 
 def save_artifacts(artifacts: dict, out_dir) -> None:
-    """Each candidate's bundle as artifacts/<id>.ealm and its adapters as
-    artifacts/<id>.adapters.ealm: tensors a:<matrix>, b:<matrix>."""
+    """Each candidate's merged model as the bundle file artifacts/<id>.merged.ealm."""
     adir = Path(out_dir) / "artifacts"
     adir.mkdir(parents=True, exist_ok=True)
-    for cid, art in artifacts.items():
-        save_bundle(art["bundle"], adir / f"{cid}.ealm")
-        ad = art["adapters"]
-        factors = {f"{s}:{n}": t for s, ts in (("a", ad.a), ("b", ad.b)) for n, t in ts.items()}
-        write_tensors(adir / f"{cid}.adapters.ealm", factors, {"rank": ad.rank, "alpha": ad.alpha})
-
-
-def _adapters(tensors: dict, meta: dict, config: LmConfig) -> tinylm.LoraAdapters:
-    """The adapters of an .adapters.ealm file if they are what save_artifacts
-    writes for a model of `config`: an int rank, a float alpha, and for each
-    adapted (p, q) matrix one finite float32 A (p, rank) and B (rank, q) and
-    nothing else. Anything else is a BundleError."""
-    rank, alpha = meta.get("rank"), meta.get("alpha")
-    if sorted(meta) != ["alpha", "rank"] or not (fits(rank, int) and rank >= 1
-                                                 and fits(alpha, float)):
-        raise BundleError(f"adapter meta {meta} is not an int rank and a float alpha")
-    want = {f"{side}:{name}": (shape[0], rank) if side == "a" else (rank, shape[1])
-            for name, shape in config.tensor_shapes().items()
-            if default_target_filter(name) for side in "ab"}
-    bad = sorted(n for n, t in tensors.items() if not (
-        isinstance(t, np.ndarray) and t.dtype == np.float32 and t.shape == want.get(n)
-        and np.isfinite(t).all()))
-    if bad or len(tensors) != len(want):
-        raise BundleError(f"adapters missing {sorted(set(want) - set(tensors))}, unknown "
-                          f"or not a finite float32 of the right shape {bad}")
-    a, b = ({n[2:]: t for n, t in tensors.items() if n[0] == side} for side in "ab")
-    return tinylm.LoraAdapters(rank, alpha, a, b)
+    for cid, bundle in artifacts.items():
+        save_bundle(bundle, adir / f"{cid}.merged.ealm")
 
 
 def load_artifacts(ids: list[str], out_dir) -> dict:
-    """Each id's bundle and adapters as save_artifacts wrote them; a file that
-    is missing, damaged or does not match its bundle is a StageError."""
-    adir = Path(out_dir) / "artifacts"
+    """Each id's merged model as save_artifacts wrote it; a file that is
+    missing or that `load_bundle` refuses is a StageError."""
     artifacts = {}
     for cid in ids:
-        path = adir / f"{cid}.ealm"
+        path = Path(out_dir) / "artifacts" / f"{cid}.merged.ealm"
         try:
-            bundle = load_bundle(path)
-            path = adir / f"{cid}.adapters.ealm"
-            adapters = _adapters(*read_tensors(path), bundle.config)
+            artifacts[cid] = load_bundle(path)
         except (OSError, BundleError) as e:
             raise _unreadable(path, e) from e
-        artifacts[cid] = {"bundle": bundle, "adapters": adapters}
     return artifacts
 
 
@@ -540,20 +502,22 @@ def _remove_after(out: Path, name: str) -> None:
 
 
 def finetune_stage(config: PipelineConfig, meter: Meter) -> list[CandidateRecord]:
-    """Loop 1; writes candidates_loop1.json and artifacts/, and removes the
-    later stages' files and every artifact it does not write."""
+    """Loop 1. Removes every staged file and every artifact it does not
+    write, writes artifacts/, then candidates_loop1.json last: where that
+    file exists, every artifact it names came from the same run."""
     train_records = _load_dataset(config.train_path, config.max_seq, train=True)
     eval_records = _load_dataset(config.eval_path, config.max_seq, train=False)
     records, artifacts = run_finetune_grid(config, meter, train_records, eval_records)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _remove_after(out, "candidates_loop1.json")
-    written = {f"{cid}{suffix}" for cid in artifacts for suffix in (".ealm", ".adapters.ealm")}
+    for name in STAGED_FILES:
+        (out / name).unlink(missing_ok=True)
+    written = {f"{cid}.merged.ealm" for cid in artifacts}
     for path in (out / "artifacts").glob("*.ealm"):
         if path.name not in written:
             path.unlink()
-    save_candidates(records, out / "candidates_loop1.json")
     save_artifacts(artifacts, out)
+    save_candidates(records, out / "candidates_loop1.json")
     return records
 
 

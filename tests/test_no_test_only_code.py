@@ -41,3 +41,23 @@ def test_every_src_definition_is_referenced_in_src():
     used = {name for tree in trees for name in _references(tree)}
     unused = [qual for tree in trees for qual, name in _definitions(tree) if name not in used]
     assert unused == [], f"referenced only outside src/ealm: {unused}"
+
+
+def _imported_names(tree: ast.Module):
+    """Each name an import statement binds, `from __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_src_import_is_read_in_its_module():
+    paths, unread = sorted(SRC.glob("*.py")), []
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in read]
+    assert unread == [], f"imported but never read: {unread}"

@@ -19,8 +19,8 @@ from ealm.meter import Meter
 from ealm.metrics import MetricScores, score_outputs
 from ealm.quant import QuantSpec, quantize_bundle
 from ealm.rank import CandidateRecord, select_top_k
-from ealm.tensors import (WEIGHT_MATRICES, BundleError, Lineage, LmConfig, from_fields,
-                          load_bundle, read_tensors, save_bundle, write_tensors)
+from ealm.tensors import (WEIGHT_MATRICES, BundleError, Lineage, LmConfig, QuantizedTensor,
+                          from_fields, load_bundle, read_tensors, save_bundle, write_tensors)
 from oracles import finetune_alone
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -119,10 +119,9 @@ def test_run_all_counts_and_reports(tmp_path):
     for f in ("report.json", "report.csv", "report.md",
               "candidates_loop1.json", "candidates_loop2.json"):
         assert (out / f).exists(), f
-    # artifacts saved for every loop-1 candidate
-    for c in loop1:
-        assert (out / "artifacts" / f"{c['id']}.ealm").exists()
-        assert (out / "artifacts" / f"{c['id']}.adapters.ealm").exists()
+    # one merged model staged for every loop-1 candidate, and nothing else
+    assert sorted(p.name for p in (out / "artifacts").iterdir()) == sorted(
+        f"{c['id']}.merged.ealm" for c in loop1)
     assert not list(out.rglob("*.npz"))
 
     # every stored R must be recomputable from phi, rho, and w
@@ -150,10 +149,9 @@ def test_candidate_persistence_roundtrip(tmp_path):
     assert all(r.scores is not None for r in loop1 if r.status == "ok")
     assert all(r.energy.total_joules >= 0 for r in loop1 if r.status == "ok")
     assert all(len(r.train_records) == 1 for r in loop1 if r.status == "ok")
-    arts = pl.load_artifacts([loop1[0].id], out)
-    art = arts[loop1[0].id]
-    assert art["adapters"].rank == cfg.lora_rank
-    art["bundle"].validate()
+    bundle = pl.load_artifacts([loop1[0].id], out)[loop1[0].id]
+    bundle.validate()
+    assert bundle.lineage == loop1[0].lineage
 
 
 def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypatch):
@@ -172,7 +170,7 @@ def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypa
     loop2 = pl.load_candidates(out / "candidates_loop2.json")
     for rec in loop1:
         assert rec.lineage.sparsity is None
-        assert load_bundle(out / "artifacts" / f"{rec.id}.ealm").lineage == rec.lineage
+        assert load_bundle(out / "artifacts" / f"{rec.id}.merged.ealm").lineage == rec.lineage
     # one model per loop-1 bit width, then one per loop-2 variant, in record order
     assert len(evaluated) == len(loop1) + len(loop2)
     assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1):]
@@ -331,6 +329,25 @@ def test_divergence_fails_only_its_candidate(tmp_path, monkeypatch):
     assert {c["lineage"]["parent_id"] for c in loop2} == {"ft-b32-e1"}
 
 
+def merged_alone(config, bits, adapters):
+    """The merged model of a loop-1 cell run alone: `adapters` merged into a
+    freshly quantized base at `bits`."""
+    base = quantize_bundle(tinylm.init_model(config.lm_config()), QuantSpec(bits))
+    return tinylm.merge_adapters(base, adapters)
+
+
+def assert_same_tensors(got, want):
+    """Every tensor of bundle `got` has the names, dtypes, shapes and bytes of
+    `want`'s: codes and scales for a quantized one."""
+    def parts(t):
+        arrays = [t.codes, t.scales] if isinstance(t, QuantizedTensor) else [t]
+        return [(type(t), a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    assert list(got.tensors) == list(want.tensors)
+    for name, t in want.tensors.items():
+        assert parts(got.tensors[name]) == parts(t), name
+
+
 def test_each_epoch_candidate_matches_its_own_fine_tune(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, epochs_grid=[1, 3])
     train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
@@ -349,10 +366,8 @@ def test_each_epoch_candidate_matches_its_own_fine_tune(tmp_path, monkeypatch):
         bits, epochs = rec.lineage.precision_bits, rec.lineage.epochs_trained
         adapters, losses, want_pairs, n_generated = finetune_alone(cfg, bits, epochs, train,
                                                                    evals)
-        got = artifacts[rec.id]["adapters"]
-        for name in adapters.a:
-            assert got.a[name].tobytes() == adapters.a[name].tobytes(), (rec.id, name)
-            assert got.b[name].tobytes() == adapters.b[name].tobytes(), (rec.id, name)
+        assert_same_tensors(artifacts[rec.id], merged_alone(cfg, bits, adapters))
+        assert artifacts[rec.id].lineage == rec.lineage
         assert [tr.epoch for tr in rec.train_records] == list(range(1, epochs + 1))
         assert [tr.loss for tr in rec.train_records] == losses
         assert all(tr.energy is not None for tr in rec.train_records)
@@ -475,27 +490,44 @@ def test_prune_error_fails_only_its_variant(tmp_path, monkeypatch):
     assert failed[0]["error"] == "PruneError: injected"
 
 
-def test_merge_error_fails_only_its_parents_variants(tmp_path, monkeypatch):
+def test_merge_error_fails_only_its_own_loop1_candidate(tmp_path, monkeypatch):
     real = tinylm.merge_adapters
 
-    def nan_delta_at_4_bits(bundle, adapters):
-        if bundle.lineage.precision_bits == 4:
+    def nan_delta_at_4_bits_1_epoch(bundle, adapters):
+        if bundle.lineage == Lineage(precision_bits=4, epochs_trained=1):
             adapters = dataclasses.replace(
                 adapters, b={n: np.full_like(b, np.nan) for n, b in adapters.b.items()})
         return real(bundle, adapters)
 
-    monkeypatch.setattr(tinylm, "merge_adapters", nan_delta_at_4_bits)
-    cfg = make_config(tmp_path, k=2)
+    monkeypatch.setattr(tinylm, "merge_adapters", nan_delta_at_4_bits_1_epoch)
+    cfg = make_config(tmp_path, epochs_grid=[1, 2], k=3)
     payload = pl.run_all(cfg)
-    loop2 = [c for c in payload["candidates"] if c["stage"] == "prune"]
-    suffixes = [s for s, _ in cfg.prune_variants()]
-    assert [c["id"] for c in loop2 if c["status"] == "failed"] == [
-        f"ft-b4-e1-{s}" for s in suffixes]
-    assert [c["id"] for c in loop2 if c["status"] == "ok"] == [f"ft-b32-e1-{s}" for s in suffixes]
-    for c in loop2:
-        if c["status"] == "failed":
-            assert c["error"] == "QuantError: non-finite values in tensor"
-            assert c["lineage"]["parent_id"] == "ft-b4-e1"
+    cands = {c["id"]: c for c in payload["candidates"]}
+    assert {i: c["error"] for i, c in cands.items() if c["status"] == "failed"} == {
+        "ft-b4-e1": "QuantError: non-finite values in tensor"}
+    ok_loop1 = {"ft-b4-e2", "ft-b32-e1", "ft-b32-e2"}
+    assert {p.name for p in (tmp_path / "out" / "artifacts").iterdir()} == {
+        f"{i}.merged.ealm" for i in ok_loop1}
+    # training went on past the failed merge, and loop 2 pruned the other three
+    loop2 = [c for c in cands.values() if c["stage"] == "prune"]
+    assert {c["lineage"]["parent_id"] for c in loop2} == ok_loop1
+    assert all(c["status"] == "ok" for c in loop2)
+
+
+def test_staged_model_is_the_merge_of_its_epochs_adapters(tmp_path):
+    """A loaded artifacts/<id>.merged.ealm holds every bit of its cell's
+    adapters, as trained alone for its epoch count, merged into a freshly
+    quantized base at its width."""
+    cfg = make_config(tmp_path, bits_grid=[4, 16], epochs_grid=[1, 2])
+    train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    records = pl.finetune_stage(cfg, pl.build_meter(cfg))
+    assert [r.id for r in records] == ["ft-b4-e1", "ft-b4-e2", "ft-b16-e1", "ft-b16-e2"]
+    for rec in records:
+        bits, epochs = rec.lineage.precision_bits, rec.lineage.epochs_trained
+        adapters = finetune_alone(cfg, bits, epochs, train, evals)[0]
+        loaded = load_bundle(tmp_path / "out" / "artifacts" / f"{rec.id}.merged.ealm")
+        assert_same_tensors(loaded, merged_alone(cfg, bits, adapters))
+        assert loaded.lineage == rec.lineage
 
 
 @pytest.mark.parametrize("n_prompts", [1, 4])
@@ -620,6 +652,32 @@ def test_cli_non_utf8_config_or_dataset(tmp_path, capsys):
         assert cli.main(argv) == code, argv
         err = capsys.readouterr().err
         assert err.startswith(prefix) and str(named) in err, (argv, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    pytest.param('{"prompt": "a", "reference": null}',
+                 "DatasetRecord.reference holds str, not None", id="null-reference"),
+    pytest.param('{"prompt": 7, "reference": "reset card 2"}',
+                 "DatasetRecord.prompt holds str, not 7", id="int-prompt"),
+    # valid JSON: an escaped lone surrogate, which no UTF-8 byte sequence encodes
+    pytest.param('{"prompt": "\\ud800 fault", "reference": "reset card 2"}',
+                 "not UTF-8 encodable", id="lone-surrogate"),
+])
+def test_bad_dataset_record_exits_3_naming_its_line(tmp_path, capsys, record, message):
+    cfg = make_config(tmp_path)
+    line = len(load_jsonl(cfg.train_path)) + 1
+    with open(cfg.train_path, "a", encoding="utf-8") as f:
+        f.write(record + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    for argv, prefix in ((["stats", "--data", cfg.train_path], "error: DataError:"),
+                         (["finetune-grid", "--config", str(cfg_path)], "stage error:")):
+        capsys.readouterr()
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and f"{cfg.train_path}:{line}: bad record" in err, err
+        assert message in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -788,7 +846,7 @@ def test_finetune_grid_leaves_nothing_derived_from_the_old_loop1(tmp_path, capsy
     assert cli.main(["finetune-grid", "--config", str(other)]) == 0
     out = tmp_path / "out"
     assert sorted(p.name for p in (out / "artifacts").iterdir()) == [
-        f"ft-b{b}-e1{s}" for b in (16, 8) for s in (".adapters.ealm", ".ealm")]
+        f"ft-b{b}-e1.merged.ealm" for b in (16, 8)]
     assert not any((out / n).exists() for n in ("topk.json", "candidates_loop2.json", *REPORTS))
     capsys.readouterr()
     assert cli.main(["prune-grid", "--config", str(other)]) == 3
@@ -796,6 +854,65 @@ def test_finetune_grid_leaves_nothing_derived_from_the_old_loop1(tmp_path, capsy
     assert cli.main(["report", "--config", str(other)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [c["id"] for c in report["candidates"]] == ["ft-b8-e1", "ft-b16-e1"]
+
+
+class Killed(BaseException):
+    """Stands for a signal that ends the process mid-call."""
+
+
+def test_finetune_grid_killed_while_staging_leaves_no_loop1_records(tmp_path, monkeypatch,
+                                                                    capsys):
+    """A finetune-grid with another lr, killed between two artifact writes in
+    an out dir that holds a whole earlier run, leaves no candidates_loop1.json
+    to name a mix of both runs' models: rank stops and names it."""
+    cfg, cfg_path = write_trace_config(tmp_path)
+    assert cli.main(["run-all", "--config", str(cfg_path)]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(dataclasses.asdict(cfg), lr=0.01)))
+    real, calls = pl.save_bundle, []
+
+    def save_bundle(bundle, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise Killed
+        real(bundle, path)
+
+    monkeypatch.setattr(pl, "save_bundle", save_bundle)
+    with pytest.raises(Killed):
+        cli.main(["finetune-grid", "--config", str(other)])
+    out = tmp_path / "out"
+    assert not any((out / name).exists() for name in pl.STAGED_FILES)
+    capsys.readouterr()
+    assert cli.main(["rank", "--config", str(other)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage error:") and "candidates_loop1.json" in err
+
+
+def test_out_dir_of_unmerged_artifacts_is_refused_then_replaced(ranked_state, tmp_path, capsys):
+    """An out dir in ealm's earlier layout, a bundle <id>.ealm plus adapters
+    <id>.adapters.ealm per candidate: prune-grid stops and names the merged
+    model it lacks, where reading <id>.ealm would evaluate a model without its
+    adapters, and a new finetune-grid leaves only merged models."""
+    cfg_path, ranked_out, top = ranked_state
+    out = tmp_path / "out"
+    shutil.copytree(ranked_out, out)
+    cfg = pl.PipelineConfig.from_file(cfg_path)
+    for merged in sorted((out / "artifacts").iterdir()):
+        cid = merged.name.removesuffix(".merged.ealm")
+        save_bundle(load_bundle(merged), merged.with_name(f"{cid}.ealm"))
+        ad = tinylm.init_adapters(cfg.lm_config(), rank=cfg.lora_rank, alpha=cfg.lora_alpha)
+        write_tensors(merged.with_name(f"{cid}.adapters.ealm"),
+                      {f"{s}:{n}": t for s, ts in (("a", ad.a), ("b", ad.b)) for n, t in ts.items()},
+                      {"rank": ad.rank, "alpha": ad.alpha})
+        merged.unlink()
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(["prune-grid"] + args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage error:") and f"{top}.merged.ealm" in err
+    assert cli.main(["finetune-grid"] + args) == 0
+    assert sorted(p.name for p in (out / "artifacts").iterdir()) == [
+        f"ft-b{b}-e1.merged.ealm" for b in (32, 4)]
 
 
 def test_rank_and_prune_grid_remove_the_files_derived_from_theirs(tmp_path):
@@ -856,8 +973,7 @@ def ranked_state(tmp_path_factory):
     ("rank", "candidates_loop1.json"),
     ("prune-grid", "candidates_loop1.json"),
     ("prune-grid", "topk.json"),
-    ("prune-grid", "artifacts/{top}.ealm"),
-    ("prune-grid", "artifacts/{top}.adapters.ealm"),
+    ("prune-grid", "artifacts/{top}.merged.ealm"),
     ("rank", None),  # candidates_loop1.json is there but has no baseline
     ("prune-grid", None),
     ("report", "candidates_loop1.json"),
@@ -868,29 +984,23 @@ def ranked_state(tmp_path_factory):
     ("rank", "drop-key:scores:candidates_loop1.json"),
     ("rank", "drop-key:lineage.precision_bits:candidates_loop1.json"),
     ("prune-grid", "drop-key:status:topk.json"),
-    ("prune-grid", "lineage-key:artifacts/{top}.ealm"),
+    ("prune-grid", "lineage-key:artifacts/{top}.merged.ealm"),
     # a bundle that decodes but lacks a tensor its config names, and one that
     # also holds layer-norm gains and biases, as bundles did before they were dropped
-    ("prune-grid", "drop-tensor:artifacts/{top}.ealm"),
-    ("prune-grid", "norm-tensors:artifacts/{top}.ealm"),
+    ("prune-grid", "drop-tensor:artifacts/{top}.merged.ealm"),
+    ("prune-grid", "norm-tensors:artifacts/{top}.merged.ealm"),
     # the 4-bit candidate as the top-k, its bundle holding a scale or a code
     # quantize never writes
-    ("prune-grid", "q4:nan-scale:artifacts/ft-b4-e1.ealm"),
-    ("prune-grid", "q4:code-8:artifacts/ft-b4-e1.ealm"),
+    ("prune-grid", "q4:nan-scale:artifacts/ft-b4-e1.merged.ealm"),
+    ("prune-grid", "q4:code-8:artifacts/ft-b4-e1.merged.ealm"),
     # there but cut short, as a killed writer could leave it
     ("rank", "truncated:candidates_loop1.json"),
     ("prune-grid", "truncated:topk.json"),
-    ("prune-grid", "truncated:artifacts/{top}.ealm"),
-    ("prune-grid", "truncated:artifacts/{top}.adapters.ealm"),
-    # an adapters file that decodes but does not match its bundle
-    ("prune-grid", "adapters-no-rank:artifacts/{top}.adapters.ealm"),
-    ("prune-grid", "adapters-wrong-rank:artifacts/{top}.adapters.ealm"),
-    ("prune-grid", "adapters-missing-layer:artifacts/{top}.adapters.ealm"),
-    ("prune-grid", "adapters-unknown-name:artifacts/{top}.adapters.ealm"),
+    ("prune-grid", "truncated:artifacts/{top}.merged.ealm"),
     # a byte that is not UTF-8 in a record id or a tensor name
     ("rank", "non-utf8:candidates_loop1.json"),
     ("prune-grid", "non-utf8:topk.json"),
-    ("prune-grid", "non-utf8:artifacts/{top}.ealm"),
+    ("prune-grid", "non-utf8:artifacts/{top}.merged.ealm"),
     # a record that decodes but is not what its writer writes
     ("prune-grid", "record:baseline-extra-empty:candidates_loop1.json"),
     ("prune-grid", "record:eval-energy-no-duration:candidates_loop1.json"),
@@ -913,10 +1023,9 @@ def ranked_state(tmp_path_factory):
     ("rank", "record:failed-status-weird:candidates_loop1.json"),
     ("rank", "record:stray-r-score:candidates_loop1.json"),
     # a bundle whose metadata holds a key besides config and lineage
-    ("prune-grid", "meta-key:artifacts/{top}.ealm"),
+    ("prune-grid", "meta-key:artifacts/{top}.merged.ealm"),
     # an .ealm file that goes on after its metadata
-    ("prune-grid", "appended:artifacts/{top}.ealm"),
-    ("prune-grid", "appended:artifacts/{top}.adapters.ealm"),
+    ("prune-grid", "appended:artifacts/{top}.merged.ealm"),
 ])
 def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, command, missing):
     cfg_path, ranked_out, top = ranked_state
@@ -933,20 +1042,6 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
         record, _, key = key.rpartition(".")
         del (recs[0][record] if record else recs[0])[key]
         victim.write_text(json.dumps(recs))
-    elif missing and missing.startswith("adapters-"):
-        damage, name = missing.split(":")
-        victim = out / name.format(top=top)
-        tensors, meta = read_tensors(victim)
-        a = "a:layers.0.attn.wq"
-        if damage == "adapters-no-rank":
-            del meta["rank"]
-        elif damage == "adapters-wrong-rank":
-            tensors[a] = np.concatenate([tensors[a], tensors[a][:, :1]], axis=1)
-        elif damage == "adapters-missing-layer":
-            del tensors["a:layers.0.mlp.w2"], tensors["b:layers.0.mlp.w2"]
-        else:
-            tensors["c:layers.0.attn.wq"] = tensors[a]
-        write_tensors(victim, tensors, meta)
     elif missing and missing.startswith("lineage-key:"):
         victim = out / missing.removeprefix("lineage-key:").format(top=top)
         if victim.suffix == ".ealm":  # the metadata JSON and its length end the file
@@ -1055,35 +1150,34 @@ def test_cli_stage_error_on_missing_state(ranked_state, tmp_path, capsys, comman
 
 
 def test_damaged_artifacts_load_or_raise_a_stage_error(tmp_path):
-    """Every cut and every flipped byte of a tiny bundle and of its adapters
-    file either loads or is a BundleError, which load_artifacts turns into a
-    StageError that names the file."""
+    """Every cut and every flipped byte of a tiny merged model either loads or
+    is a BundleError, which load_artifacts turns into a StageError that names
+    the file."""
     cfg = LmConfig(d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq=4, vocab_size=3)
-    bundle = quantize_bundle(tinylm.init_model(cfg), QuantSpec(4))
-    adapters = tinylm.init_adapters(cfg, rank=1)
-    pl.save_artifacts({"c": {"bundle": bundle, "adapters": adapters}}, tmp_path)
-    adir = tmp_path / "artifacts"
-    for path in (adir / "c.ealm", adir / "c.adapters.ealm"):
-        good = path.read_bytes()
-        damaged = [good[:n] for n in range(len(good))]
-        damaged += [good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:] for i in range(len(good))]
-        with open(path, "r+b") as f:  # rewritten in place: reopening costs more than loading
-            for data in damaged:
-                f.seek(0)
-                f.write(data)
-                f.truncate()
-                f.flush()
-                try:
-                    pl.load_artifacts(["c"], tmp_path)
-                except pl.StageError as e:
-                    assert isinstance(e.__cause__, BundleError), e
-                    assert path.name in str(e)
-        for tail in (b"\0", bytes(23)):  # the metadata ends the file
-            path.write_bytes(good + tail)
-            with pytest.raises(pl.StageError, match=f"{path.name}: {len(tail)} bytes after"):
+    bundle = tinylm.merge_adapters(quantize_bundle(tinylm.init_model(cfg), QuantSpec(4)),
+                                   tinylm.init_adapters(cfg, rank=1))
+    pl.save_artifacts({"c": bundle}, tmp_path)
+    path = tmp_path / "artifacts" / "c.merged.ealm"
+    good = path.read_bytes()
+    damaged = [good[:n] for n in range(len(good))]
+    damaged += [good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:] for i in range(len(good))]
+    with open(path, "r+b") as f:  # rewritten in place: reopening costs more than loading
+        for data in damaged:
+            f.seek(0)
+            f.write(data)
+            f.truncate()
+            f.flush()
+            try:
                 pl.load_artifacts(["c"], tmp_path)
-        path.write_bytes(good)
-    pl.load_artifacts(["c"], tmp_path)
+            except pl.StageError as e:
+                assert isinstance(e.__cause__, BundleError), e
+                assert path.name in str(e)
+    for tail in (b"\0", bytes(23)):  # the metadata ends the file
+        path.write_bytes(good + tail)
+        with pytest.raises(pl.StageError, match=f"{path.name}: {len(tail)} bytes after"):
+            pl.load_artifacts(["c"], tmp_path)
+    path.write_bytes(good)
+    assert_same_tensors(pl.load_artifacts(["c"], tmp_path)["c"], bundle)
 
 
 def test_staged_writes_keep_previous_file_when_replace_fails(ranked_state, tmp_path,
@@ -1092,10 +1186,9 @@ def test_staged_writes_keep_previous_file_when_replace_fails(ranked_state, tmp_p
     out = tmp_path / "out"
     shutil.copytree(ranked_out, out)
     records = pl.load_candidates(out / "candidates_loop1.json")
-    bundle, adapters = pl.load_artifacts([top], out)[top].values()
+    bundle = pl.load_artifacts([top], out)[top]
     other_bundle = dataclasses.replace(
         bundle, lineage=dataclasses.replace(bundle.lineage, epochs_trained=99))
-    other_adapters = dataclasses.replace(adapters, b={n: b + 1 for n, b in adapters.b.items()})
     files = sorted(p for p in out.rglob("*") if p.is_file())
     before = {p: p.read_bytes() for p in files}
     real_replace = os.replace
@@ -1110,12 +1203,9 @@ def test_staged_writes_keep_previous_file_when_replace_fails(ranked_state, tmp_p
     monkeypatch.setattr(os, "replace", fail_on(".json"))
     with pytest.raises(OSError):
         pl.save_candidates(records[:1], out / "candidates_loop1.json")
-    monkeypatch.setattr(os, "replace", fail_on(".ealm"))
+    monkeypatch.setattr(os, "replace", fail_on(".merged.ealm"))
     with pytest.raises(BundleError):
-        pl.save_artifacts({top: {"bundle": other_bundle, "adapters": adapters}}, out)
-    monkeypatch.setattr(os, "replace", fail_on(".adapters.ealm"))
-    with pytest.raises(BundleError):  # the unchanged bundle is rewritten first
-        pl.save_artifacts({top: {"bundle": bundle, "adapters": other_adapters}}, out)
+        pl.save_artifacts({top: other_bundle}, out)
     assert sorted(p for p in out.rglob("*") if p.is_file()) == files  # no temp file left
     assert {p: p.read_bytes() for p in files} == before
 
