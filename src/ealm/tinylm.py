@@ -11,6 +11,13 @@ fixed. Training changes them every step, so it runs them unmerged over the
 frozen base, y = x @ W + s·(x @ A) @ B, as QLoRA does. Evaluation holds them
 fixed over many decode steps, so it merges them once into a
 `TinyLm.with_adapters` view, W + s·A@B.
+
+A forward without adapters (every evaluation and decode step) takes each
+layer's Q, K and V in one product against wq, wk and wv side by side, built
+with the layer's weights: a one-token step's cost is per numpy call, not per
+row, and the fused product keeps every bit of the three. Training keeps three
+products: its low-rank paths add into each output on its own, and adding them
+into strided column views of a fused output measured slower.
 """
 
 from __future__ import annotations
@@ -35,10 +42,13 @@ SEP_BYTE = 10  # newline separates prompt from continuation
 LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 # float32 operands for float32 scalar and array arithmetic: before NEP 50
-# (NumPy < 2) a Python float with a float32 scalar gives float64.
-_F32_EPS, _F32_GELU_C, _F32_GELU_A = np.float32(LN_EPS), np.float32(_GELU_C), np.float32(0.044715)
-_F32_HALF, _F32_ONE = np.float32(0.5), np.float32(1.0)
-_F32_3A, _F32_HALF_C = np.float32(3 * 0.044715), np.float32(0.5 * _GELU_C)
+# (NumPy < 2) a Python float with a float32 scalar gives float64. Those of
+# array ops are 0-d arrays, which an op takes ~0.2 us faster than a float32
+# scalar, at the same bits; those of scalar ops are scalars, as a scalar op
+# with a 0-d array goes through a ufunc.
+_F32_EPS, _F32_UNIT = np.float32(LN_EPS), np.float32(1.0)
+_F32_GELU_C, _F32_GELU_A, _F32_HALF, _F32_ONE, _F32_3A, _F32_HALF_C = (
+    np.array(v, dtype=np.float32) for v in (_GELU_C, 0.044715, 0.5, 1.0, 3 * 0.044715, 0.5 * _GELU_C))
 _f32 = functools.cache(np.float32)  # keyed by row width: ~0.1 us a hit, ~0.5 us to build
 _BOOLS = {bool, np.bool_}
 
@@ -203,7 +213,7 @@ def _layernorm(x):
     if x.ndim == 2 and len(x) == 1:
         n = _f32(x.shape[1])
         xc = x - np.add.reduce(x, None) / n
-        inv = _F32_ONE / np.sqrt(np.add.reduce(xc * xc, None) / n + _F32_EPS)
+        inv = _F32_UNIT / np.sqrt(np.add.reduce(xc * xc, None) / n + _F32_EPS)
     else:
         n = x.shape[-1]
         xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
@@ -263,12 +273,20 @@ class TinyLm:
         self.causal = np.triu(np.full((self.config.max_seq,) * 2, -1e9, dtype=np.float32), k=1)
         self.n_heads = self.config.n_heads
         self.d_head = self.config.d_model // self.n_heads
-        self.sqrt_d_head = np.float32(math.sqrt(self.d_head))
+        self.sqrt_d_head = np.array(math.sqrt(self.d_head), dtype=np.float32)
         self._wt = None  # `_transposes()`, built on this model's first training step
 
     def _layer_weights(self) -> list[dict[str, np.ndarray]]:
-        return [{m: self.w[f"layers.{i}.{m}"] for m in WEIGHT_MATRICES}
-                for i in range(self.config.n_layers)]
+        """Each layer's weight matrices by name, plus "qkv": its wq, wk and
+        wv side by side, the (d_model, 3·d_model) matrix a forward without
+        adapters multiplies once. Built with the weights, so every model and
+        view holds the one that matches its own q, k and v."""
+        layers = []
+        for i in range(self.config.n_layers):
+            lw = {m: self.w[f"layers.{i}.{m}"] for m in WEIGHT_MATRICES}
+            lw["qkv"] = np.concatenate([lw[m] for m in _QKV], axis=1)
+            layers.append(lw)
+        return layers
 
     def with_adapters(self, adapters: LoraAdapters | None) -> "TinyLm":
         """This model with each adapted matrix w replaced by w + s·A@B, built
@@ -290,7 +308,14 @@ class TinyLm:
         return view
 
     def _check_tokens(self, tokens, start: int) -> np.ndarray:
-        ids = np.asarray(tokens)
+        try:
+            ids = np.asarray(tokens)
+        except ValueError as e:  # a ragged nest of lists
+            raise LmError("token ids must be one-dimensional, got a ragged nest") from e
+        # a scalar would fail the embedding index, and rows of ids would be
+        # read as one sequence
+        if ids.ndim != 1:
+            raise LmError(f"token ids must be one-dimensional, got shape {ids.shape}")
         if ids.size == 0:
             raise LmError("empty token sequence")
         if ids.dtype.kind not in "iu":  # a float id would be truncated, a bool read as 0/1
@@ -314,6 +339,16 @@ class TinyLm:
             return x.reshape(self.n_heads, 1, self.d_head)
         return x.reshape(T, self.n_heads, self.d_head).transpose(1, 0, 2)
 
+    def _split_qkv(self, qkv):
+        """q, k and v, each split into heads, of a fused (T, 3·d_model)
+        product: views, as `_split_heads` gives."""
+        T = qkv.shape[0]
+        if T == 1:
+            qkv = qkv.reshape(3, self.n_heads, 1, self.d_head)
+        else:
+            qkv = qkv.reshape(T, 3, self.n_heads, self.d_head).transpose(1, 2, 0, 3)
+        return qkv[0], qkv[1], qkv[2]  # indexing: unpacking iterates, at twice the cost
+
     def _merge_heads(self, x):
         if x.shape[1] == 1:
             return x.reshape(1, -1)
@@ -329,25 +364,37 @@ class TinyLm:
         holds, their keys and values are written into it, and no activations
         are kept: the second item is None, as a cached forward is never
         differentiated. Each call on one cache must be made on the same model
-        and adapters."""
+        and adapters.
+
+        Without `adapters`, each layer's Q, K and V come from one product
+        against its fused "qkv" matrix; with them, from three, each plus its
+        low-rank path. 2-D products call `np.dot`, which costs less per call
+        than `@` at these sizes and gives the same bits; a one-token step reads
+        its embedding as a row slice."""
         start = kv.length if kv is not None else 0
         ids = self._check_tokens(tokens, start)
         T = ids.size
         end = start + T
-        x = self.w["tok_emb"][ids] + self.w["pos_emb"][start:end]
+        if T == 1:  # a row slice, where a fancy index would gather one row
+            t = int(ids[0])  # t + 1 in a narrow dtype could wrap: uint8 255 + 1 is 0
+            x = self.w["tok_emb"][t:t + 1] + self.w["pos_emb"][start:end]
+        else:
+            x = self.w["tok_emb"][ids] + self.w["pos_emb"][start:end]
         # One new token may attend to every cached position: no mask to add.
         causal = self.causal[start:end, :end] if T > 1 else None
         if adapters is not None:
             s = np.float32(adapters.scaling)
+        xa = None
         layers = []
         for i, w in enumerate(self.layers):
             h, ln1c = _layernorm(x)
-            q, k, v = h @ w["attn.wq"], h @ w["attn.wk"], h @ w["attn.wv"]
-            xa = None
-            if adapters is not None:
+            if adapters is None:
+                q, k, v = self._split_qkv(np.dot(h, w["qkv"]))
+            else:
                 p = f"layers.{i}."
+                q, k, v = np.dot(h, w["attn.wq"]), np.dot(h, w["attn.wk"]), np.dot(h, w["attn.wv"])
                 xa = {m: _add_low_rank(y, h, adapters, p + m, s) for m, y in zip(_QKV, (q, k, v))}
-            q, k, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
+                q, k, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
             if kv is not None:
                 if i == len(kv.k):
                     shape = (self.n_heads, self.config.max_seq, self.d_head)
@@ -362,16 +409,16 @@ class TinyLm:
                 scores += causal
             probs = _softmax(scores)
             o = self._merge_heads(probs @ v)
-            y = o @ w["attn.wo"]
+            y = np.dot(o, w["attn.wo"])
             if xa is not None:
                 xa["attn.wo"] = _add_low_rank(y, o, adapters, p + "attn.wo", s)
             x += y
             h2, ln2c = _layernorm(x)
-            u = h2 @ w["mlp.w1"]
+            u = np.dot(h2, w["mlp.w1"])
             if xa is not None:
                 xa["mlp.w1"] = _add_low_rank(u, h2, adapters, p + "mlp.w1", s)
             g, gt = _gelu(u)
-            y = g @ w["mlp.w2"]
+            y = np.dot(g, w["mlp.w2"])
             if xa is not None:
                 xa["mlp.w2"] = _add_low_rank(y, g, adapters, p + "mlp.w2", s)
             x += y
@@ -379,7 +426,7 @@ class TinyLm:
                 layers.append(dict(ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs, o=o,
                                    ln2c=ln2c, h2=h2, u=u, gt=gt, g=g, xa=xa))
         xf, lnfc = _layernorm(x)
-        logits = xf @ self.w["head"]
+        logits = np.dot(xf, self.w["head"])
         if kv is None:
             return logits, dict(layers=layers, lnfc=lnfc)
         kv.length = end

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -85,8 +86,37 @@ def test_forward_input_validation():
             model.forward_cached(tokens, KvCache())
     with pytest.raises(LmError, match="empty token sequence"):
         model.forward_cached([])
+    with pytest.raises(LmError, match="one-dimensional"):
+        model.forward_cached([[1, 2], [3]])  # ragged
     assert np.array_equal(model.forward_cached(np.array([BOS_ID, 65], np.int32))[0],
                           model.forward_cached([BOS_ID, 65])[0])
+
+
+# Unchecked, 5 fails the embedding index with IndexError, which is not among
+# the pipeline's CANDIDATE_ERRORS, [[5]] is read as token 5 by a one-token
+# step's row slice, and a (2, 2) array as one sequence.
+@pytest.mark.parametrize("tokens", [5, [[5]], [[1, 2], [3, 4]]], ids=["scalar", "one-row", "two-rows"])
+def test_forward_refuses_token_ids_that_are_not_one_dimensional(tokens):
+    model = TinyLm(init_model(CFG))
+    for kv in (None, KvCache()):
+        with pytest.raises(LmError, match="one-dimensional"):
+            model.forward_cached(tokens, kv)
+        with pytest.raises(LmError, match="one-dimensional"):
+            model.forward_cached(np.asarray(tokens), kv)
+        assert kv is None or kv.length == 0 and kv.k == []
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16, np.uint64])
+def test_one_token_step_reads_its_embedding_row_in_any_integer_dtype(dtype):
+    # a one-token step reads rows [t, t + 1): t + 1 must not wrap in t's dtype
+    model = TinyLm(init_model(CFG))
+    t = min(int(np.iinfo(dtype).max), CFG.vocab_size - 1)
+    assert np.array_equal(model.forward_cached(np.array([t], dtype))[0], model.forward_cached([t])[0])
+    kv, kv_ref = KvCache(), KvCache()
+    model.forward_cached([BOS_ID, 65], kv)
+    model.forward_cached([BOS_ID, 65], kv_ref)
+    assert np.array_equal(model.forward_cached(np.array([t], dtype), kv)[0],
+                          model.forward_cached([t], kv_ref)[0])
 
 
 def test_softmax_rows_sum_to_one():
@@ -195,7 +225,9 @@ def test_low_rank_grads_match_dense_float64_oracle(n_layers):
     assert all(t.dtype == np.float32 for t in (*adapters.a.values(), *adapters.b.values()))
     assert len(adapters.a) == 6 * n_layers
     s = adapters.scaling
-    for seq in seqs:
+    # a two-token sequence's forward is one row, as a decode step's is: it
+    # must keep its low-rank paths
+    for seq in seqs + [[BOS_ID, 65]]:
         _, grads = model.loss_and_grads(seq, adapters)
         assert set(grads) == set(adapters.a)  # a pair for every factor, layer 0's too
         # Oracle: from the activations of the forward training runs, the
@@ -293,6 +325,47 @@ def test_with_adapters_keeps_the_bits_of_a_per_matrix_rebuild(monkeypatch, d_mod
         assert loss == pytest.approx(nll / (len(seq) - 1), rel=1e-6)
 
 
+@pytest.mark.parametrize("d_model, n_heads, d_ff", [(32, 2, 64), (128, 4, 512)])
+def test_fused_qkv_matches_each_models_own_q_k_v_and_keeps_every_bit(d_model, n_heads, d_ff):
+    """A forward without adapters takes one product against each layer's
+    fused (d_model, 3·d_model) matrix; with adapters it takes three. On
+    whatever BLAS and NumPy the suite runs, and at d_model 128 (train-wide's
+    shape) too, the two must agree to the bit, or digests would move
+    unseen."""
+    cfg = dataclasses.replace(CFG, d_model=d_model, n_heads=n_heads, d_ff=d_ff)
+    base = init_model(cfg)
+    model, adapters, _ = trained_setup(cfg=cfg, alpha=6.0)
+    merged = merge_adapters(base, adapters)
+    models = {
+        "plain": model,
+        "view": model.with_adapters(adapters),
+        "rebuilt": oracles.adapted_model(model, adapters),
+        "4-bit": TinyLm(quantize_bundle(base, QuantSpec(4))),
+        "pruned merged": TinyLm(prune_bundle(merged, PruneSpec("structured-nm", n=2, m=4))),
+    }
+    # B is zero: each adapted product adds exactly 0 to its three-product base
+    zero = init_adapters(cfg, seed=1)
+    prompt = encode_prompt("fault e01 link")
+    for name, m in models.items():
+        for i, lw in enumerate(m.layers):
+            own = np.concatenate([m.w[f"layers.{i}.{q}"] for q in tinylm._QKV], axis=1)
+            assert lw["qkv"].dtype == np.float32 and lw["qkv"].flags.c_contiguous, name
+            assert np.array_equal(lw["qkv"], own), name
+        # the prompt pass, then 40 one-token steps, EOS or not
+        kv, kv_ref, new = KvCache(), KvCache(), prompt
+        for _ in range(41):
+            step = m.forward_cached(new, kv)[0]
+            assert np.array_equal(step, m.forward_cached(new, kv_ref, adapters=zero)[0]), name
+            new = [int(step[-1].argmax())]
+        assert kv.length == len(prompt) + 40
+    # the plain forward reads the fused matrix, the adapted one q, k and v
+    blind = copy.copy(model)
+    blind.layers = [dict(lw, qkv=np.zeros_like(lw["qkv"])) for lw in model.layers]
+    assert not np.array_equal(blind.forward_cached(prompt)[0], model.forward_cached(prompt)[0])
+    assert np.array_equal(blind.forward_cached(prompt, adapters=zero)[0],
+                          model.forward_cached(prompt, adapters=zero)[0])
+
+
 def test_training_builds_c_ordered_transposes_once_per_model(monkeypatch):
     bundle, adapters, seqs = small_setup()
     model = TinyLm(bundle)
@@ -370,6 +443,9 @@ def test_with_adapters_shares_the_base_and_leaves_it_unchanged():
         assert len(m.layers) == CFG.n_layers
         assert all(lw[n] is m.w[f"layers.{i}.{n}"]
                    for i, lw in enumerate(m.layers) for n in tinylm.WEIGHT_MATRICES)
+        assert all(set(lw) == {*tinylm.WEIGHT_MATRICES, "qkv"} for lw in m.layers)
+    for lw, vw in zip(model.layers, view.layers):  # the view's fused matrix is its own
+        assert not np.shares_memory(lw["qkv"], vw["qkv"])
 
 
 def test_kv_cache_chunks_match_full_forward(monkeypatch):
