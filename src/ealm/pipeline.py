@@ -148,10 +148,8 @@ class PipelineConfig:
         return cls.from_dict(obj)
 
 
-def _decode_all(model: tinylm.TinyLm, adapters, eval_records, max_new: int):
-    """Greedy decoding of every eval prompt: ((text, reference) pairs, tokens).
-    The adapters are merged into the weights once, for all prompts."""
-    model = model.with_adapters(adapters)
+def _decode_all(model: tinylm.TinyLm, eval_records, max_new: int):
+    """Greedy decoding of every eval prompt: ((text, reference) pairs, tokens)."""
     pairs = []
     n_generated = 0
     for rec in eval_records:
@@ -163,12 +161,11 @@ def _decode_all(model: tinylm.TinyLm, adapters, eval_records, max_new: int):
     return pairs, n_generated
 
 
-def evaluate_model(model: tinylm.TinyLm, adapters, eval_records, meter: Meter,
+def evaluate_model(model: tinylm.TinyLm, eval_records, meter: Meter,
                    max_new: int) -> tuple[MetricScores, EnergyReport]:
     """Metered greedy decoding over the eval set, then metric scoring.
     Throughput and energy read the same span clock."""
-    (pairs, n_generated), energy = meter.measure(
-        _decode_all, model, adapters, eval_records, max_new)
+    (pairs, n_generated), energy = meter.measure(_decode_all, model, eval_records, max_new)
     scores = score_outputs(pairs, n_generated, max(energy.duration_s, 1e-9))
     return scores, energy
 
@@ -180,17 +177,18 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     Each bit width runs one fine-tune: it quantizes the base once and trains
     one set of adapters for max(epochs_grid) epochs, each epoch in its own
     span. After each epoch N in epochs_grid the adapters of that moment are
-    evaluated in their own span as candidate `ft-bX-eN`. A candidate is
+    merged into the quantized bundle at its own width
+    (`tinylm.merge_adapters`), outside every span, and that merged model is
+    evaluated in its own span as candidate `ft-bX-eN`. A candidate is
     charged every epoch its adapters went through plus its own evaluation,
     so loop-1 candidates share epochs and their joules add up to more than
     the run spent. A quantization error fails all of a width's candidates, a
-    training error at epoch j those with N >= j, and an evaluation or merge
+    training error at epoch j those with N >= j, and a merge or evaluation
     error only its own candidate.
 
     Returns (records, artifacts) in grid order, where artifacts[id] is the
-    model loop 2 prunes: the candidate's adapters merged into its quantized
-    bundle at its own width (`tinylm.merge_adapters`), outside every span,
-    carrying the candidate's lineage.
+    merged model the candidate was scored on, carrying its lineage: the
+    model loop 2 prunes.
     """
     lm_cfg = config.lm_config()
     base32 = tinylm.init_model(lm_cfg)
@@ -216,12 +214,13 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                     continue
                 cid, lineage = f"ft-b{bits}-e{epoch}", lineages[epoch]
                 try:
-                    scores, eval_energy = evaluate_model(
-                        model, adapters, eval_records, meter, config.max_new_tokens
-                    )
-                    # the model loop 2 prunes, merged outside every span
-                    artifacts[cid] = tinylm.merge_adapters(
+                    # the model scored and staged for loop 2, built outside every span
+                    merged = tinylm.merge_adapters(
                         dataclasses.replace(bundle, lineage=lineage), adapters)
+                    scores, eval_energy = evaluate_model(
+                        tinylm.TinyLm(merged), eval_records, meter, config.max_new_tokens
+                    )
+                    artifacts[cid] = merged
                 except CANDIDATE_ERRORS as e:
                     done[epoch] = _failed(cid, lineage, "finetune", e)
                     continue
@@ -233,7 +232,7 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
                     energy=total,
                     stage="finetune",
                     train_records=list(train_recs),
-                    extra={"payload_bytes": payload_bytes(bundle),
+                    extra={"payload_bytes": payload_bytes(merged),
                            "eval_energy": eval_energy.to_dict()},
                 )
         except CANDIDATE_ERRORS as e:  # fails each candidate not yet reached
@@ -297,7 +296,7 @@ def run_prune_grid(topk: list[CandidateRecord], artifacts: dict, config: Pipelin
                 lineage.sparsity = prune_mod.sparsity(pruned)
                 model = tinylm.TinyLm(pruned)
                 scores, energy = evaluate_model(
-                    model, None, eval_records, meter, config.max_new_tokens
+                    model, eval_records, meter, config.max_new_tokens
                 )
                 rec = CandidateRecord(
                     id=cid, lineage=lineage, scores=scores, energy=energy,

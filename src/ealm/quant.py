@@ -55,10 +55,11 @@ def quantize(arr: np.ndarray, spec: QuantSpec):
 
 
 def dequantize(t) -> np.ndarray:
-    """Back to float32: code * scale for integer codes, upcast for float16."""
+    """Back to float32: code * scale for integer codes, upcast for float16.
+    A float32 tensor is returned as is, not copied: callers only read it."""
     if isinstance(t, QuantizedTensor):
         return t.codes.astype(np.float32) * t.scales[:, None]
-    return np.asarray(t).astype(np.float32)
+    return np.asarray(t).astype(np.float32, copy=False)
 
 
 def quantize_bundle(bundle: ModelBundle, spec: QuantSpec) -> ModelBundle:

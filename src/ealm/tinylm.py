@@ -6,11 +6,11 @@ reduced precision changes the weight values and the stored size, not the
 arithmetic. Training is plain gradient descent, one step per sequence, on
 mean next-token cross-entropy, updating the adapter factors A and B only.
 
-Adapters are applied in one of two forms, chosen by how long they stay
-fixed. Training changes them every step, so it runs them unmerged over the
-frozen base, y = x @ W + s·(x @ A) @ B, as QLoRA does. Evaluation holds them
-fixed over many decode steps, so it merges them once into a
-`TinyLm.with_adapters` view, W + s·A@B.
+Adapters run only in training, unmerged over the frozen base,
+y = x @ W + s·(x @ A) @ B, as QLoRA does. Evaluation decodes a stored model:
+`merge_adapters` folds the adapters into the bundle at its own width, and the
+merged bundle gets a `TinyLm` of its own, so the model scored is the model
+staged.
 
 A forward without adapters (every evaluation and decode step) takes each
 layer's Q, K and V in one product against wq, wk and wv side by side, built
@@ -22,7 +22,6 @@ into strided column views of a fused output measured slower.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -260,9 +259,9 @@ class KvCache:
 
 
 class TinyLm:
-    """Runtime view of a bundle: dense float32 weights. `with_adapters` gives
-    the view a set of LoRA adapters is evaluated through; `loss_and_grads`
-    trains them unmerged over these weights."""
+    """Runtime view of a bundle: dense float32 weights, which share memory
+    with the bundle's float32 tensors. `loss_and_grads` trains a set of LoRA
+    adapters unmerged over these weights."""
 
     def __init__(self, bundle: ModelBundle):
         self.config = bundle.config
@@ -279,33 +278,14 @@ class TinyLm:
     def _layer_weights(self) -> list[dict[str, np.ndarray]]:
         """Each layer's weight matrices by name, plus "qkv": its wq, wk and
         wv side by side, the (d_model, 3·d_model) matrix a forward without
-        adapters multiplies once. Built with the weights, so every model and
-        view holds the one that matches its own q, k and v."""
+        adapters multiplies once. Built with the weights, so every model
+        holds the one that matches its own q, k and v."""
         layers = []
         for i in range(self.config.n_layers):
             lw = {m: self.w[f"layers.{i}.{m}"] for m in WEIGHT_MATRICES}
             lw["qkv"] = np.concatenate([lw[m] for m in _QKV], axis=1)
             layers.append(lw)
         return layers
-
-    def with_adapters(self, adapters: LoraAdapters | None) -> "TinyLm":
-        """This model with each adapted matrix w replaced by w + s·A@B, built
-        once: `adapters.delta(name)`, a new float32 array, then w added to it
-        in place. Every other array is the model's own; the model is not
-        changed. None gives the model itself. The view evaluates fixed
-        adapters; training runs them unmerged (`loss_and_grads`). A view
-        trained on builds transposes of its own weights, never the model's."""
-        if adapters is None:
-            return self
-        view = copy.copy(self)
-        view._wt = None
-        view.w = dict(self.w)
-        for name in adapters.a:
-            w = adapters.delta(name)
-            w += self.w[name]
-            view.w[name] = w
-        view.layers = view._layer_weights()
-        return view
 
     def _check_tokens(self, tokens, start: int) -> np.ndarray:
         try:
@@ -357,14 +337,13 @@ class TinyLm:
     def forward_cached(self, tokens, kv: KvCache | None = None, *,
                        adapters: LoraAdapters | None = None):
         """Logits of `tokens` and the activations backward needs, under this
-        model's weights (a `with_adapters` view carries its adapters merged).
-        With `adapters`, each adapted projection adds its low-rank path
-        unmerged, y = x @ W + s·(x @ A) @ B, and the activations keep
-        s·(x @ A) for dB. With `kv`, `tokens` continue the sequence the cache
-        holds, their keys and values are written into it, and no activations
-        are kept: the second item is None, as a cached forward is never
-        differentiated. Each call on one cache must be made on the same model
-        and adapters.
+        model's weights. With `adapters`, each adapted projection adds its
+        low-rank path unmerged, y = x @ W + s·(x @ A) @ B, and the activations
+        keep s·(x @ A) for dB. With `kv`, `tokens` continue the sequence the
+        cache holds, their keys and values are written into it, and no
+        activations are kept: the second item is None, as a cached forward is
+        never differentiated. Each call on one cache must be made on the same
+        model and adapters.
 
         Without `adapters`, each layer's Q, K and V come from one product
         against its fused "qkv" matrix; with them, from three, each plus its
@@ -496,7 +475,7 @@ class TinyLm:
         """Mean next-token cross-entropy over the predicted positions of one
         sequence, plus gradients w.r.t. every adapter factor. The adapters
         run unmerged over this model's frozen weights (`forward_cached` with
-        `adapters=`); no merged view is built."""
+        `adapters=`)."""
         # The last token predicts nothing and, under the causal mask, moves
         # no earlier logit: the forward runs only the positions that predict.
         logits, cache = self.forward_cached(seq[:-1], adapters=adapters)
@@ -531,22 +510,20 @@ def train_epoch(model: TinyLm, adapters: LoraAdapters, sequences, lr: float):
 
 def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new: int) -> list[int]:
     """`prompt` followed by up to `max_new` greedily chosen tokens, stopping
-    at EOS or at `max_seq`. The adapters are merged into a view once per
-    call; a caller that decodes many prompts passes `model.with_adapters(
-    adapters)` and None. Each position goes through the model once, through
-    a `KvCache` of this call's own."""
+    at EOS or at `max_seq`. Adapters, if any, run unmerged, as in training;
+    the pipeline decodes merged models and passes None. Each position goes
+    through the model once, through a `KvCache` of this call's own."""
     if len(prompt) == 0:
         raise LmError("prompt must be nonempty")
     if len(prompt) > model.config.max_seq:
         raise LmError(f"prompt length {len(prompt)} exceeds max_seq {model.config.max_seq}")
-    model = model.with_adapters(adapters)
     seq = list(prompt)
     kv = KvCache()
     new = list(prompt)
     for _ in range(max_new):
         if len(seq) >= model.config.max_seq:
             break
-        logits = model.forward_cached(new, kv)[0]
+        logits = model.forward_cached(new, kv, adapters=adapters)[0]
         nxt = int(logits[-1].argmax())  # argmax breaks ties toward lowest id
         seq.append(nxt)
         if nxt == EOS_ID:

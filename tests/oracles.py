@@ -1,9 +1,9 @@
 """Reference helpers the tests compare the package against: quantization
 error, bit-exact bundle equality, the forward-only evaluation loss, a model
-with its adapters added one matrix at a time, the backward pass through a
-model's dense (merged) weights, the `ndarray.mean`/`var`/`max`/`sum` forms
-of layernorm and softmax, the sort order of magnitude pruning, and one
-loop-1 cell fine-tuned on its own."""
+with its adapters added one matrix at a time in float32, the backward pass
+through a model's dense (merged) weights, the `ndarray.mean`/`var`/`max`/
+`sum` forms of layernorm and softmax, the sort order of magnitude pruning,
+and one loop-1 cell fine-tuned on its own and evaluated merged."""
 
 import math
 
@@ -82,8 +82,8 @@ def float64(obj):
 
 
 def backward_io(model, dlogits, cache):
-    """dL/dlogits propagated back in float64 through `model`'s own weights (a
-    merged `with_adapters` view's W + s·A@B) to each weight matrix's (input,
+    """dL/dlogits propagated back in float64 through `model`'s own weights (an
+    `adapted_model`'s W + s·A@B) to each weight matrix's (input,
     output gradient) pair, so dL/dW_eff = input.T @ output gradient. `cache`
     holds the activations of a `forward_cached` of the same weights, merged
     or not. The embeddings are frozen: the pass stops at layer 0's pairs."""
@@ -150,11 +150,13 @@ def magnitude_mask(values, ratio):
 
 def finetune_alone(config, bits, epochs, train_records, eval_records):
     """Loop-1 cell `ft-b{bits}-e{epochs}` as its own run: a freshly quantized
-    base and fresh adapters trained for `epochs` epochs, then greedy decoding
-    of the eval set. Returns (adapters, per-epoch losses, (text, reference)
-    pairs, generated token count)."""
+    base and fresh adapters trained for `epochs` epochs, merged into that base
+    at its width, then greedy decoding of the eval set on the merged model.
+    Returns (adapters, per-epoch losses, (text, reference) pairs, generated
+    token count)."""
     lm_cfg = config.lm_config()
-    model = tinylm.TinyLm(quantize_bundle(tinylm.init_model(lm_cfg), QuantSpec(bits)))
+    base = quantize_bundle(tinylm.init_model(lm_cfg), QuantSpec(bits))
+    model = tinylm.TinyLm(base)
     adapters = tinylm.init_adapters(lm_cfg, rank=config.lora_rank, alpha=config.lora_alpha,
                                     seed=config.seed)
     sequences = [tinylm.encode_example(r.prompt, r.reference) for r in train_records]
@@ -162,5 +164,6 @@ def finetune_alone(config, bits, epochs, train_records, eval_records):
     for _ in range(epochs):
         adapters, loss = tinylm.train_epoch(model, adapters, sequences, config.lr)
         losses.append(loss)
-    pairs, n_generated = _decode_all(model, adapters, eval_records, config.max_new_tokens)
+    merged = tinylm.TinyLm(tinylm.merge_adapters(base, adapters))
+    pairs, n_generated = _decode_all(merged, eval_records, config.max_new_tokens)
     return adapters, losses, pairs, n_generated

@@ -168,12 +168,20 @@ def test_lineage_matches_saved_bundles_and_evaluated_sparsity(tmp_path, monkeypa
     out = tmp_path / "out"
     loop1 = pl.load_candidates(out / "candidates_loop1.json")
     loop2 = pl.load_candidates(out / "candidates_loop2.json")
+    staged = []
     for rec in loop1:
         assert rec.lineage.sparsity is None
-        assert load_bundle(out / "artifacts" / f"{rec.id}.merged.ealm").lineage == rec.lineage
-    # one model per loop-1 bit width, then one per loop-2 variant, in record order
-    assert len(evaluated) == len(loop1) + len(loop2)
-    assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1):]
+        bundle = load_bundle(out / "artifacts" / f"{rec.id}.merged.ealm")
+        assert bundle.lineage == rec.lineage
+        staged.append(prune_mod.sparsity(bundle))
+    # per loop-1 bit width the model trained on, then each candidate's merged
+    # model, which is evaluated; then one model per loop-2 variant, in record
+    # order
+    per_width = 1 + len(cfg.epochs_grid)
+    assert len(evaluated) == len(cfg.bits_grid) * per_width + len(loop2)
+    loop1_models = evaluated[:len(cfg.bits_grid) * per_width]
+    assert [s for i, s in enumerate(loop1_models) if i % per_width] == staged
+    assert [r.lineage.sparsity for r in loop2] == evaluated[len(loop1_models):]
     # the pipeline records what it pruned: each parent's variants in grid order
     specs = [dataclasses.asdict(spec) if spec else None for _, spec in cfg.prune_variants()]
     assert [r.lineage.prune for r in loop2] == specs * cfg.k
@@ -436,7 +444,9 @@ def test_epochs_grid_order_and_one_fine_tune_per_width(tmp_path, monkeypatch):
     cfg = dataclasses.replace(cfg, epochs_grid=[3, 1])
     records, _ = pl.run_finetune_grid(cfg, pl.build_meter(cfg), train, evals)
     assert [r.id for r in records] == ["ft-b4-e3", "ft-b4-e1", "ft-b32-e3", "ft-b32-e1"]
-    assert counts == {"quantize_bundle": cfg.bits_grid, "TinyLm": len(cfg.bits_grid),
+    # one model per width to train on, and one merged model per candidate
+    assert counts == {"quantize_bundle": cfg.bits_grid,
+                      "TinyLm": len(cfg.bits_grid) * (1 + len(cfg.epochs_grid)),
                       "train_epoch": len(cfg.bits_grid) * max(cfg.epochs_grid)}
     assert [r.id for r in records if r.baseline] == ["ft-b32-e3"]
     for rec in records:
@@ -530,25 +540,92 @@ def test_staged_model_is_the_merge_of_its_epochs_adapters(tmp_path):
         assert loaded.lineage == rec.lineage
 
 
+def decoding_run(tmp_path, monkeypatch):
+    """`run_all` on a config with 4- and 8-bit cells and k covering every
+    loop-1 candidate, so each gets an `-unpruned` variant. Returns the
+    config, the records by id and the tokens each ok record was scored on,
+    one list per eval prompt, by id."""
+    cfg = make_config(tmp_path, bits_grid=[4, 8, 32], epochs_grid=[1, 3], k=6)
+    decoded = []
+    real = tinylm.greedy_decode
+
+    def remember(model, adapters, prompt, max_new):
+        out = real(model, adapters, prompt, max_new)
+        decoded.append(out[len(prompt):])
+        return out
+
+    monkeypatch.setattr(tinylm, "greedy_decode", remember)
+    payload = pl.run_all(cfg)
+    records = {c["id"]: c for c in payload["candidates"]}
+    ok = [i for i, c in records.items() if c["status"] == "ok"]
+    assert len(ok) == len(records) == 6 * 4
+    n_eval = len(load_jsonl(cfg.eval_path))
+    assert len(decoded) == len(ok) * n_eval
+    tokens = {i: decoded[n * n_eval:(n + 1) * n_eval] for n, i in enumerate(ok)}
+    return cfg, records, tokens
+
+
+def test_unpruned_variant_is_the_model_its_parent_was_scored_on(tmp_path, monkeypatch):
+    """Loop 1 scores the merged model it stages, so every `-unpruned` loop-2
+    record decodes its parent's tokens and has its parent's six quality
+    scores, at every width."""
+    _, records, tokens = decoding_run(tmp_path, monkeypatch)
+    unpruned = [c for i, c in records.items() if i.endswith("-unpruned")]
+    assert sorted(c["lineage"]["precision_bits"] for c in unpruned) == [4, 4, 8, 8, 32, 32]
+    for rec in unpruned:
+        parent = records[rec["lineage"]["parent_id"]]
+        assert tokens[rec["id"]] == tokens[parent["id"]], rec["id"]
+        for f in MetricScores.QUALITY_FIELDS:
+            assert rec["scores"][f] == parent["scores"][f], (rec["id"], f)
+        assert rec["rho"] == parent["rho"]
+        assert rec["lineage"]["sparsity"] == prune_mod.sparsity(
+            load_bundle(tmp_path / "out" / "artifacts" / f"{parent['id']}.merged.ealm"))
+
+
+def test_staged_model_decodes_the_tokens_its_record_was_scored_on(tmp_path, monkeypatch):
+    cfg, records, tokens = decoding_run(tmp_path, monkeypatch)
+    prompts = [tinylm.encode_prompt(r.prompt) for r in load_jsonl(cfg.eval_path)]
+    loop1 = [i for i, c in records.items() if c["stage"] == "finetune"]
+    assert len(loop1) == 6
+    for cid in loop1:
+        model = tinylm.TinyLm(load_bundle(tmp_path / "out" / "artifacts" / f"{cid}.merged.ealm"))
+        got = [tinylm.greedy_decode(model, None, p, cfg.max_new_tokens)[len(p):] for p in prompts]
+        assert got == tokens[cid], cid
+
+
 @pytest.mark.parametrize("n_prompts", [1, 4])
-def test_decode_all_merges_the_adapters_once_per_model(monkeypatch, n_prompts):
-    cfg = LmConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=64, init_seed=1)
-    model = tinylm.TinyLm(tinylm.init_model(cfg))
-    adapters = tinylm.init_adapters(cfg, rank=2, alpha=4.0, seed=1)
+def test_eval_span_holds_only_decode(tmp_path, monkeypatch, n_prompts):
+    """Inside a metered eval span no adapter is merged and no model is built:
+    `_decode_all` decodes each prompt of the model it is given, as
+    `greedy_decode` with no adapters does."""
+    cfg = make_config(tmp_path, epochs_grid=[1, 2])
     records = generate_synthetic_corpus(seed=0, n_records=n_prompts, grammar_size=2)
-    want = [tinylm.greedy_decode(model, adapters, tinylm.encode_prompt(r.prompt), 8)
-            for r in records]
-    calls = []
-    real = tinylm.LoraAdapters.delta
+    meter = pl.build_meter(cfg)
+    in_span = []
 
-    def counting(self, name):
-        calls.append(name)
-        return real(self, name)
+    def watch(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(tinylm.LoraAdapters, "delta", counting)
-    pairs, n_generated = pl._decode_all(model, adapters, records, 8)
-    assert sorted(calls) == sorted(adapters.a) and len(calls) == 6 * cfg.n_layers
+        def watched(*args, **kwargs):
+            in_span.append((name, meter._active is not None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, watched)
+
+    for owner, name in ((tinylm, "merge_adapters"), (tinylm.TinyLm, "__init__"),
+                        (tinylm.LoraAdapters, "delta"), (pl, "_decode_all")):
+        watch(owner, name)
+    # train on the real corpus, evaluate on `records`
+    pl.run_finetune_grid(cfg, meter, load_jsonl(cfg.train_path), records)
+    n_cells = len(cfg.bits_grid) * len(cfg.epochs_grid)
+    assert [n for n, _ in in_span].count("_decode_all") == n_cells
+    assert [n for n, _ in in_span].count("merge_adapters") == n_cells
+    assert [(n, s) for n, s in in_span if s] == [("_decode_all", True)] * n_cells
+
+    model = tinylm.TinyLm(tinylm.init_model(cfg.lm_config()))
     prompts = [tinylm.encode_prompt(r.prompt) for r in records]
+    want = [tinylm.greedy_decode(model, None, p, 8) for p in prompts]
+    pairs, n_generated = pl._decode_all(model, records, 8)
     assert n_generated == sum(len(o) - len(p) for o, p in zip(want, prompts))
     assert [t for t, _ in pairs] == [tinylm.decode_ids(o[len(p):]) for o, p in zip(want, prompts)]
 
@@ -562,12 +639,12 @@ def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkey
     real = pl.evaluate_model
     computed = []
 
-    def zero_share(model, adapters, *args):
-        # the matrices every forward of the evaluated view computes on
-        mats = [w[m] for w in model.with_adapters(adapters).layers for m in WEIGHT_MATRICES]
+    def zero_share(model, *args):
+        # the matrices every forward of the evaluated model computes on
+        mats = [w[m] for w in model.layers for m in WEIGHT_MATRICES]
         computed.append(sum(int(np.count_nonzero(w == 0)) for w in mats)
                         / sum(w.size for w in mats))
-        return real(model, adapters, *args)
+        return real(model, *args)
 
     monkeypatch.setattr(pl, "evaluate_model", zero_share)
     baseline = next(r for r in loop1 if r.baseline)

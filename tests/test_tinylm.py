@@ -9,7 +9,7 @@ from ealm.data import generate_synthetic_corpus
 from ealm.pipeline import _decode_all
 from ealm.prune import PruneSpec, prune_bundle
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
-from ealm.tensors import LmConfig, ModelBundle, payload_bytes
+from ealm.tensors import LmConfig, ModelBundle, QuantizedTensor, payload_bytes
 from ealm.tinylm import (
     BOS_ID,
     EOS_ID,
@@ -57,7 +57,7 @@ def test_init_deterministic_and_shapes():
 def test_forward_shape_and_zero_adapter_equivalence():
     bundle, adapters, seqs = small_setup()
     model = TinyLm(bundle)
-    logits = model.with_adapters(adapters).forward_cached(seqs[0])[0]
+    logits = TinyLm(merge_adapters(bundle, adapters)).forward_cached(seqs[0])[0]
     assert logits.shape == (len(seqs[0]), CFG.vocab_size)
     assert np.isfinite(logits).all()
     # B starts at zero, so the adapter path must match the base exactly,
@@ -231,16 +231,16 @@ def test_low_rank_grads_match_dense_float64_oracle(n_layers):
         _, grads = model.loss_and_grads(seq, adapters)
         assert set(grads) == set(adapters.a)  # a pair for every factor, layer 0's too
         # Oracle: from the activations of the forward training runs, the
-        # backward in float64 through the merged view's dense W + s·A@B to
-        # each matrix's (input, output gradient) pair, contracted through the
-        # dense p x q dL/dW_eff.
+        # backward in float64 through the dense W + s·A@B to each matrix's
+        # (input, output gradient) pair, contracted through the dense p x q
+        # dL/dW_eff.
         logits, cache = model.forward_cached(seq[:-1], adapters=adapters)
         dlogits = tinylm._softmax(logits.astype(np.float64))
         dlogits[np.arange(len(seq) - 1), seq[1:]] -= 1.0
         dlogits /= len(seq) - 1
         want = {}
-        for name, (inp, dout) in oracles.backward_io(model.with_adapters(adapters), dlogits,
-                                                     cache).items():
+        for name, (inp, dout) in oracles.backward_io(oracles.adapted_model(model, adapters),
+                                                     dlogits, cache).items():
             assert inp.dtype == dout.dtype == np.float64
             dw = inp.T @ dout
             want[name] = (s * (dw @ adapters.b[name].astype(np.float64).T),
@@ -291,35 +291,41 @@ def trained_setup(bundle=None, cfg=CFG, alpha=8.0):
     return model, adapters, seqs
 
 
+def merged_model(adapters, cfg=CFG):
+    """The float32 model the pipeline evaluates at 32 bits: `adapters` merged
+    into `init_model(cfg)`, the base `trained_setup` trains over by default."""
+    return TinyLm(merge_adapters(init_model(cfg), adapters))
+
+
 @pytest.mark.parametrize("d_model", [32, 128])
-def test_with_adapters_keeps_the_bits_of_a_per_matrix_rebuild(monkeypatch, d_model):
+def test_merged_model_keeps_the_bits_of_a_per_matrix_rebuild(monkeypatch, d_model):
     cfg = dataclasses.replace(CFG, d_model=d_model, n_heads=4, d_ff=2 * d_model)
     # s = 1.5: scaling by a power of two would hide where s is applied
     model, adapters, seqs = trained_setup(cfg=cfg, alpha=6.0)
-    view, ref = model.with_adapters(adapters), oracles.adapted_model(model, adapters)
+    merged, ref = merged_model(adapters, cfg), oracles.adapted_model(model, adapters)
     for seq in seqs:
-        assert np.array_equal(view.forward_cached(seq)[0], ref.forward_cached(seq)[0])
+        assert np.array_equal(merged.forward_cached(seq)[0], ref.forward_cached(seq)[0])
     # every step of a 40-token greedy decode
     prompt = encode_prompt("fault e01 link")
-    out = greedy_decode(model, adapters, prompt, 40)
+    out = greedy_decode(merged, None, prompt, 40)
     assert out == greedy_decode(ref, None, prompt, 40)
     assert len(out) - len(prompt) == 40 or out[-1] == EOS_ID
-    kv_view, kv_ref, new = KvCache(), KvCache(), prompt
+    kv_merged, kv_ref, new = KvCache(), KvCache(), prompt
     for nxt in out[len(prompt):]:
-        step = view.forward_cached(new, kv_view)[0]
+        step = merged.forward_cached(new, kv_merged)[0]
         assert np.array_equal(step, ref.forward_cached(new, kv_ref)[0])
         assert int(step[-1].argmax()) == nxt
         new = [nxt]
-    # training runs the adapters unmerged, with no view, and drops the last
-    # position: its loss is the merged view's full-sequence loss to float32
-    # rounding
-    merged = [tinylm._nll(view.forward_cached(seq)[0][:-1], seq)[0] for seq in seqs]
+    # training runs the adapters unmerged, never forming a dense delta, and
+    # drops the last position: its loss is the merged model's full-sequence
+    # loss to float32 rounding
+    want = [tinylm._nll(merged.forward_cached(seq)[0][:-1], seq)[0] for seq in seqs]
 
-    def no_view(*args):
-        raise AssertionError("training built a merged view")
+    def no_delta(*args):
+        raise AssertionError("training formed a dense adapter delta")
 
-    monkeypatch.setattr(TinyLm, "with_adapters", no_view)
-    for seq, nll in zip(seqs, merged):
+    monkeypatch.setattr(tinylm.LoraAdapters, "delta", no_delta)
+    for seq, nll in zip(seqs, want):
         loss, grads = model.loss_and_grads(seq, adapters)
         assert set(grads) == set(adapters.a)
         assert loss == pytest.approx(nll / (len(seq) - 1), rel=1e-6)
@@ -338,9 +344,10 @@ def test_fused_qkv_matches_each_models_own_q_k_v_and_keeps_every_bit(d_model, n_
     merged = merge_adapters(base, adapters)
     models = {
         "plain": model,
-        "view": model.with_adapters(adapters),
+        "merged": TinyLm(merged),
         "rebuilt": oracles.adapted_model(model, adapters),
         "4-bit": TinyLm(quantize_bundle(base, QuantSpec(4))),
+        "4-bit merged": TinyLm(merge_adapters(quantize_bundle(base, QuantSpec(4)), adapters)),
         "pruned merged": TinyLm(prune_bundle(merged, PruneSpec("structured-nm", n=2, m=4))),
     }
     # B is zero: each adapted product adds exactly 0 to its three-product base
@@ -378,7 +385,7 @@ def test_training_builds_c_ordered_transposes_once_per_model(monkeypatch):
 
     monkeypatch.setattr(TinyLm, "_transposes", counting)
     records = generate_synthetic_corpus(seed=0, n_records=2, grammar_size=2)
-    _decode_all(model, adapters, records, 8)
+    _decode_all(model, records, 8)
     greedy_decode(model, adapters, encode_prompt("fault e01 link"), 8)
     assert built == [] and model._wt is None  # evaluation never builds them
     adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
@@ -391,13 +398,13 @@ def test_training_builds_c_ordered_transposes_once_per_model(monkeypatch):
     for name, t in wt.items():
         assert t.flags.c_contiguous and t.dtype == np.float32
         assert np.array_equal(t, model.w[name].T) and not np.shares_memory(t, model.w[name])
-    # a view never reuses its base's: trained on, it builds its own
-    view = model.with_adapters(adapters)
-    assert view._wt is None
-    view.loss_and_grads(seqs[0], adapters)
-    assert view._wt is not model._wt
-    for name, t in view._wt.items():
-        assert np.array_equal(t, view.w[name].T)
+    # a merged model never shares its base's: trained on, it builds its own
+    merged = merged_model(adapters)
+    assert merged._wt is None
+    merged.loss_and_grads(seqs[0], adapters)
+    assert merged._wt is not model._wt
+    for name, t in merged._wt.items():
+        assert np.array_equal(t, merged.w[name].T)
         assert (name == "head") == np.array_equal(t, model._wt[name])
 
 
@@ -426,26 +433,44 @@ def test_training_keeps_every_activation_and_gradient_float32():
         assert all(g.dtype == np.float32 for pair in grads.values() for g in pair)
 
 
-def test_with_adapters_shares_the_base_and_leaves_it_unchanged():
-    model, adapters, _ = trained_setup()
-    weights = {n: t.tobytes() for n, t in model.w.items()}
-    assert model.with_adapters(None) is model
-    view = model.with_adapters(adapters)
-    assert {n: t.tobytes() for n, t in model.w.items()} == weights
-    assert set(view.w) == set(model.w) and len(adapters.a) == 6 * CFG.n_layers
-    for name, w in model.w.items():
-        if name in adapters.a:
-            assert not np.shares_memory(view.w[name], w)
-            assert not np.array_equal(view.w[name], w)  # B is nonzero after training
-        else:
-            assert view.w[name] is w
-    for m in (model, view):  # the per-layer matrices the forward reads are its own w
+@pytest.mark.parametrize("bits", [32, 8])
+def test_a_model_shares_its_bundles_float32_arrays_and_leaves_them_unchanged(bits):
+    """`TinyLm` reads a float32 tensor of its bundle in place: at 32 bits every
+    weight, at any width the embeddings and the head. Forward, decode and
+    training leave every tensor of the bundle, and of a merge made from it,
+    unchanged to the byte."""
+    def stored(b):
+        return {n: [a.tobytes() for a in ((t.codes, t.scales) if isinstance(t, QuantizedTensor)
+                                          else (t,))]
+                for n, t in b.tensors.items()}
+
+    bundle, adapters, seqs = small_setup()
+    bundle = quantize_bundle(bundle, QuantSpec(bits))
+    before = stored(bundle)
+    model = TinyLm(bundle)
+    shared = {n for n, t in bundle.tensors.items() if model.w[n] is t}
+    assert shared == (set(bundle.tensors) if bits == 32 else {"tok_emb", "pos_emb", "head"})
+    adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
+    merged = merge_adapters(bundle, adapters)
+    merged_before = stored(merged)
+    evaluated = TinyLm(merged)
+    prompt = encode_prompt("fault e01 link")
+    for m, ads in ((model, adapters), (model, None), (evaluated, None)):
+        m.forward_cached(seqs[0], adapters=ads)
+        greedy_decode(m, ads, prompt, 24)
+    train_epoch(model, adapters, seqs, lr=0.05)
+    assert stored(bundle) == before and stored(merged) == merged_before
+    for name in adapters.a:  # a merge replaces the adapted matrices only
+        assert not np.shares_memory(evaluated.w[name], model.w[name])
+    for name in ("tok_emb", "pos_emb", "head"):
+        assert evaluated.w[name] is model.w[name] is bundle.tensors[name]
+    for m in (model, evaluated):  # the per-layer matrices the forward reads are its own w
         assert len(m.layers) == CFG.n_layers
         assert all(lw[n] is m.w[f"layers.{i}.{n}"]
                    for i, lw in enumerate(m.layers) for n in tinylm.WEIGHT_MATRICES)
         assert all(set(lw) == {*tinylm.WEIGHT_MATRICES, "qkv"} for lw in m.layers)
-    for lw, vw in zip(model.layers, view.layers):  # the view's fused matrix is its own
-        assert not np.shares_memory(lw["qkv"], vw["qkv"])
+    for lw, mw in zip(model.layers, evaluated.layers):  # each fused matrix is its model's own
+        assert not np.shares_memory(lw["qkv"], mw["qkv"])
 
 
 def test_kv_cache_chunks_match_full_forward(monkeypatch):
@@ -461,24 +486,28 @@ def test_kv_cache_chunks_match_full_forward(monkeypatch):
         assert np.array_equal(model.causal[start:end, :end],
                               np.triu(np.full((T, end), -1e9, np.float32), k=start + 1))
 
-    def step(adapters, n):
-        view, kv = model.with_adapters(adapters), KvCache()
-        view.forward_cached(seq[:n], kv)
-        return view.forward_cached(seq[n:n + 1], kv)[0]
+    # the base, the merged model the pipeline decodes, and the base with the
+    # adapters unmerged (training's forward; `greedy_decode` given adapters)
+    cases = {"base": (model, None), "merged": (merged_model(trained), None),
+             "unmerged": (model, trained)}
+
+    def step(case, n):
+        m, adapters = cases[case]
+        kv = KvCache()
+        m.forward_cached(seq[:n], kv, adapters=adapters)
+        return m.forward_cached(seq[n:n + 1], kv, adapters=adapters)[0]
 
     steps = {}
-    for adapters in (trained, None):
-        view = model.with_adapters(adapters)
-        full = view.forward_cached(seq)[0]
+    for case, (m, adapters) in cases.items():
+        full = m.forward_cached(seq, adapters=adapters)[0]
         kv = KvCache()
         for lo, hi in zip(bounds, bounds[1:]):
-            logits, _ = view.forward_cached(seq[lo:hi], kv)
+            logits, _ = m.forward_cached(seq[lo:hi], kv, adapters=adapters)
             assert kv.length == hi
             np.testing.assert_allclose(logits, full[lo:hi], rtol=1e-5, atol=1e-6)
         for n in steps_at:
-            steps[adapters is None, n] = step(adapters, n)
-            np.testing.assert_allclose(steps[adapters is None, n], full[n:n + 1],
-                                       rtol=1e-5, atol=1e-6)
+            steps[case, n] = step(case, n)
+            np.testing.assert_allclose(steps[case, n], full[n:n + 1], rtol=1e-5, atol=1e-6)
 
     # A one-token step adds no causal mask. Its logits must keep every bit of
     # the step that adds the (all-zero) mask and uses the ndarray-method
@@ -492,9 +521,9 @@ def test_kv_cache_chunks_match_full_forward(monkeypatch):
 
     monkeypatch.setattr(tinylm, "_softmax", masked_softmax)
     monkeypatch.setattr(tinylm, "_layernorm", unit_layernorm)
-    for adapters in (trained, None):
+    for case in cases:
         for n in steps_at:
-            assert np.array_equal(steps[adapters is None, n], step(adapters, n))
+            assert np.array_equal(steps[case, n], step(case, n))
 
 
 def unit_layernorm(x):
@@ -540,11 +569,11 @@ def test_no_result_is_overwritten_by_a_later_step_or_call():
     weights = {n: t.tobytes() for n, t in model.w.items()}
     factors = [t.tobytes() for t in (*adapters.a.values(), *adapters.b.values())]
     prompt = encode_prompt("fault e01 link")
-    view, kv = model.with_adapters(adapters), KvCache()
-    held = [view.forward_cached(prompt, kv)[0]]
+    merged, kv = merged_model(adapters), KvCache()
+    held = [merged.forward_cached(prompt, kv)[0]]
     copies = [held[0].copy()]
     for tok in (SEP_BYTE, BOS_ID, 65):
-        held.append(view.forward_cached([tok], kv)[0])
+        held.append(merged.forward_cached([tok], kv)[0])
         copies.append(held[-1].copy())
     assert all(np.array_equal(h, c) for h, c in zip(held, copies))
     first = greedy_decode(model, adapters, prompt, 24)
@@ -558,13 +587,13 @@ def test_no_result_is_overwritten_by_a_later_step_or_call():
 
 
 def reference_decode(model, adapters, prompt, max_new):
-    """Greedy decoding that runs the whole sequence through the model each step."""
-    model = model.with_adapters(adapters)
+    """Greedy decoding that runs the whole sequence through the model, and
+    the adapters unmerged, each step."""
     seq = list(prompt)
     for _ in range(max_new):
         if len(seq) >= model.config.max_seq:
             break
-        nxt = int(np.argmax(model.forward_cached(seq)[0][-1]))
+        nxt = int(np.argmax(model.forward_cached(seq, adapters=adapters)[0][-1]))
         seq.append(nxt)
         if nxt == EOS_ID:
             break
@@ -623,7 +652,8 @@ def test_merge_adapters_equivalence():
                 + adapters.scaling * (adapters.a[name] @ adapters.b[name])).astype(np.float32)
         got = merged.tensors[name]
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-    la = model.with_adapters(adapters).forward_cached(seqs[0])[0]
+    # the merged model's logits are the unmerged forward's to float32 rounding
+    la = model.forward_cached(seqs[0], adapters=adapters)[0]
     lm = TinyLm(merged).forward_cached(seqs[0])[0]
     assert np.abs(la - lm).max() <= 1e-5
 
