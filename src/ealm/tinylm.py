@@ -12,12 +12,13 @@ y = x @ W + s·(x @ A) @ B, as QLoRA does. Evaluation decodes a stored model:
 merged bundle gets a `TinyLm` of its own, so the model scored is the model
 staged.
 
-A forward without adapters (every evaluation and decode step) takes each
-layer's Q, K and V in one product against wq, wk and wv side by side, built
-with the layer's weights: a one-token step's cost is per numpy call, not per
-row, and the fused product keeps every bit of the three. Training keeps three
-products: its low-rank paths add into each output on its own, and adding them
-into strided column views of a fused output measured slower.
+Every forward takes each layer's Q, K and V in one product against wq, wk
+and wv side by side, the only stored copy of the three, each of which is a
+column view of it: a one-token step's cost is per numpy call, not per row,
+and the fused product keeps every bit of the three. In training each low-rank
+path adds into its own column block of that product. That costs a training
+epoch about 1-3% against three separate products, measured in one process at
+d_model 32 and 128, for one Q/K/V path and one copy of the weights.
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ class KvCache:
 
 class TinyLm:
     """Runtime view of a bundle: dense float32 weights, which share memory
-    with the bundle's float32 tensors. `loss_and_grads` trains a set of LoRA
+    with the bundle's float32 tensors, except wq, wk and wv: those are views
+    of each layer's fused copy. `loss_and_grads` trains a set of LoRA
     adapters unmerged over these weights."""
 
     def __init__(self, bundle: ModelBundle):
@@ -277,13 +279,18 @@ class TinyLm:
 
     def _layer_weights(self) -> list[dict[str, np.ndarray]]:
         """Each layer's weight matrices by name, plus "qkv": its wq, wk and
-        wv side by side, the (d_model, 3·d_model) matrix a forward without
-        adapters multiplies once. Built with the weights, so every model
-        holds the one that matches its own q, k and v."""
+        wv side by side, the (d_model, 3·d_model) matrix every forward
+        multiplies once. It is the only stored copy of the three: `w` binds
+        each of them to its column block, a view."""
+        d = self.config.d_model
         layers = []
         for i in range(self.config.n_layers):
-            lw = {m: self.w[f"layers.{i}.{m}"] for m in WEIGHT_MATRICES}
-            lw["qkv"] = np.concatenate([lw[m] for m in _QKV], axis=1)
+            p = f"layers.{i}."
+            qkv = np.concatenate([self.w[p + m] for m in _QKV], axis=1)
+            for j, m in enumerate(_QKV):
+                self.w[p + m] = qkv[:, j * d:(j + 1) * d]
+            lw = {m: self.w[p + m] for m in WEIGHT_MATRICES}
+            lw["qkv"] = qkv
             layers.append(lw)
         return layers
 
@@ -311,27 +318,16 @@ class TinyLm:
             raise LmError(f"token id out of range [0, {self.config.vocab_size})")
         return ids
 
-    # For one row (a decode step), (heads, 1, d_head) holds the values in the
-    # row's own order, so one reshape splits or merges the heads.
     def _split_heads(self, x):
-        T = x.shape[0]
-        if T == 1:
-            return x.reshape(self.n_heads, 1, self.d_head)
-        return x.reshape(T, self.n_heads, self.d_head).transpose(1, 0, 2)
+        return x.reshape(x.shape[0], self.n_heads, self.d_head).transpose(1, 0, 2)
 
     def _split_qkv(self, qkv):
         """q, k and v, each split into heads, of a fused (T, 3·d_model)
         product: views, as `_split_heads` gives."""
-        T = qkv.shape[0]
-        if T == 1:
-            qkv = qkv.reshape(3, self.n_heads, 1, self.d_head)
-        else:
-            qkv = qkv.reshape(T, 3, self.n_heads, self.d_head).transpose(1, 2, 0, 3)
+        qkv = qkv.reshape(qkv.shape[0], 3, self.n_heads, self.d_head).transpose(1, 2, 0, 3)
         return qkv[0], qkv[1], qkv[2]  # indexing: unpacking iterates, at twice the cost
 
     def _merge_heads(self, x):
-        if x.shape[1] == 1:
-            return x.reshape(1, -1)
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
     def forward_cached(self, tokens, kv: KvCache | None = None, *,
@@ -345,9 +341,9 @@ class TinyLm:
         never differentiated. Each call on one cache must be made on the same
         model and adapters.
 
-        Without `adapters`, each layer's Q, K and V come from one product
-        against its fused "qkv" matrix; with them, from three, each plus its
-        low-rank path. 2-D products call `np.dot`, which costs less per call
+        Each layer's Q, K and V come from one product against its fused "qkv"
+        matrix; with `adapters`, each low-rank path adds into its own column
+        block of it. 2-D products call `np.dot`, which costs less per call
         than `@` at these sizes and gives the same bits; a one-token step reads
         its embedding as a row slice."""
         start = kv.length if kv is not None else 0
@@ -362,18 +358,17 @@ class TinyLm:
         # One new token may attend to every cached position: no mask to add.
         causal = self.causal[start:end, :end] if T > 1 else None
         if adapters is not None:
-            s = np.float32(adapters.scaling)
+            s, d = np.float32(adapters.scaling), self.config.d_model
         xa = None
         layers = []
         for i, w in enumerate(self.layers):
             h, ln1c = _layernorm(x)
-            if adapters is None:
-                q, k, v = self._split_qkv(np.dot(h, w["qkv"]))
-            else:
+            qkv = np.dot(h, w["qkv"])
+            if adapters is not None:
                 p = f"layers.{i}."
-                q, k, v = np.dot(h, w["attn.wq"]), np.dot(h, w["attn.wk"]), np.dot(h, w["attn.wv"])
-                xa = {m: _add_low_rank(y, h, adapters, p + m, s) for m, y in zip(_QKV, (q, k, v))}
-                q, k, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
+                xa = {m: _add_low_rank(qkv[:, j * d:(j + 1) * d], h, adapters, p + m, s)
+                      for j, m in enumerate(_QKV)}
+            q, k, v = self._split_qkv(qkv)
             if kv is not None:
                 if i == len(kv.k):
                     shape = (self.n_heads, self.config.max_seq, self.d_head)

@@ -3,7 +3,8 @@ error, bit-exact bundle equality, the forward-only evaluation loss, a model
 with its adapters added one matrix at a time in float32, the backward pass
 through a model's dense (merged) weights, the `ndarray.mean`/`var`/`max`/
 `sum` forms of layernorm and softmax, the sort order of magnitude pruning,
-and one loop-1 cell fine-tuned on its own and evaluated merged."""
+one loop-1 cell fine-tuned on its own and evaluated merged, and a training
+forward that takes Q, K and V in three products."""
 
 import math
 
@@ -12,8 +13,9 @@ import numpy as np
 from ealm import tinylm
 from ealm.pipeline import _decode_all
 from ealm.quant import QuantSpec, dequantize, quantize, quantize_bundle
-from ealm.tensors import Lineage, ModelBundle, QuantizedTensor
-from ealm.tinylm import LN_EPS, _gelu_grad, _layernorm_backward, _nll
+from ealm.tensors import WEIGHT_MATRICES, Lineage, ModelBundle, QuantizedTensor
+from ealm.tinylm import (_QKV, LN_EPS, _add_low_rank, _gelu, _gelu_grad, _layernorm,
+                         _layernorm_backward, _nll, _softmax)
 
 
 def quant_error(arr, spec) -> dict:
@@ -167,3 +169,41 @@ def finetune_alone(config, bits, epochs, train_records, eval_records):
     merged = tinylm.TinyLm(tinylm.merge_adapters(base, adapters))
     pairs, n_generated = _decode_all(merged, eval_records, config.max_new_tokens)
     return adapters, losses, pairs, n_generated
+
+
+def three_product_forward(model, tokens, *, adapters):
+    """`TinyLm.forward_cached` of one sequence with `adapters` and no cache,
+    with each layer's Q, K and V taken in three products against C-ordered
+    copies of wq, wk and wv, each plus its low-rank path: the training forward
+    of a model that stores the three apart. Returns (logits, activations), as
+    `forward_cached` does, for `TinyLm._backward`."""
+    ids = np.asarray(tokens)
+    x = model.w["tok_emb"][ids] + model.w["pos_emb"][:ids.size]
+    s = np.float32(adapters.scaling)
+    layers = []
+    for i in range(model.config.n_layers):
+        p = f"layers.{i}."
+        w = {m: np.array(model.w[p + m]) for m in WEIGHT_MATRICES}
+        h, ln1c = _layernorm(x)
+        q, k, v = (np.dot(h, w[m]) for m in _QKV)
+        xa = {m: _add_low_rank(y, h, adapters, p + m, s) for m, y in zip(_QKV, (q, k, v))}
+        q, k, v = (model._split_heads(y) for y in (q, k, v))
+        scores = q @ k.transpose(0, 2, 1)
+        scores /= model.sqrt_d_head
+        scores += model.causal[:ids.size, :ids.size]
+        probs = _softmax(scores)
+        o = model._merge_heads(probs @ v)
+        y = np.dot(o, w["attn.wo"])
+        xa["attn.wo"] = _add_low_rank(y, o, adapters, p + "attn.wo", s)
+        x += y
+        h2, ln2c = _layernorm(x)
+        u = np.dot(h2, w["mlp.w1"])
+        xa["mlp.w1"] = _add_low_rank(u, h2, adapters, p + "mlp.w1", s)
+        g, gt = _gelu(u)
+        y = np.dot(g, w["mlp.w2"])
+        xa["mlp.w2"] = _add_low_rank(y, g, adapters, p + "mlp.w2", s)
+        x += y
+        layers.append(dict(ln1c=ln1c, h=h, q=q, k=k, v=v, probs=probs, o=o,
+                           ln2c=ln2c, h2=h2, u=u, gt=gt, g=g, xa=xa))
+    xf, lnfc = _layernorm(x)
+    return np.dot(xf, model.w["head"]), dict(layers=layers, lnfc=lnfc)

@@ -630,6 +630,45 @@ def test_eval_span_holds_only_decode(tmp_path, monkeypatch, n_prompts):
     assert [t for t, _ in pairs] == [tinylm.decode_ids(o[len(p):]) for o, p in zip(want, prompts)]
 
 
+def test_every_model_the_pipeline_builds_stores_q_k_v_once(tmp_path, monkeypatch):
+    """In each `TinyLm` loops 1 and 2 build (every width, merged and pruned),
+    wq, wk and wv share memory with their layer's fused Q/K/V matrix and with
+    no other array: not the model's other weights, not another model's, not
+    a bundle's."""
+    cfg = make_config(tmp_path, bits_grid=[4, 8, 16, 32], n_layers=2)
+    built = []
+    real = tinylm.TinyLm.__init__
+
+    def recording(self, bundle):
+        real(self, bundle)
+        built.append((self, bundle))
+
+    monkeypatch.setattr(tinylm.TinyLm, "__init__", recording)
+    meter = pl.build_meter(cfg)
+    train, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    loop1, artifacts = pl.run_finetune_grid(cfg, meter, train, evals)
+    loop2 = pl.run_prune_grid(loop1, artifacts, cfg, meter, evals,
+                              next(r for r in loop1 if r.baseline))
+    assert all(r.status == "ok" for r in loop1 + loop2)
+    assert {b.lineage.precision_bits for _, b in built} == set(cfg.bits_grid)
+    # per width a trained base and a merged model, then one per loop-2 variant
+    assert len(built) == 2 * len(cfg.bits_grid) + len(loop2)
+    assert any(r.lineage.prune for r in loop2)
+
+    def arrays(model, bundle):
+        yield from model.w.values()
+        yield from (lw["qkv"] for lw in model.layers)
+        for t in bundle.tensors.values():
+            yield from (t.codes, t.scales) if isinstance(t, QuantizedTensor) else (t,)
+
+    every = [a for m, b in built for a in arrays(m, b)]
+    for m, _ in built:
+        for i, lw in enumerate(m.layers):
+            for view in (m.w[f"layers.{i}.{q}"] for q in tinylm._QKV):
+                sharing = {id(a) for a in every if np.shares_memory(view, a)}
+                assert sharing == {id(view), id(lw["qkv"])}
+
+
 def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, bits_grid=[4, 8, 16, 32], prune_ratios=[0.3, 0.5],
                       nm_patterns=[[2, 4]])

@@ -333,11 +333,11 @@ def test_merged_model_keeps_the_bits_of_a_per_matrix_rebuild(monkeypatch, d_mode
 
 @pytest.mark.parametrize("d_model, n_heads, d_ff", [(32, 2, 64), (128, 4, 512)])
 def test_fused_qkv_matches_each_models_own_q_k_v_and_keeps_every_bit(d_model, n_heads, d_ff):
-    """A forward without adapters takes one product against each layer's
-    fused (d_model, 3·d_model) matrix; with adapters it takes three. On
-    whatever BLAS and NumPy the suite runs, and at d_model 128 (train-wide's
-    shape) too, the two must agree to the bit, or digests would move
-    unseen."""
+    """Every forward takes one product against each layer's fused
+    (d_model, 3·d_model) matrix; with adapters each low-rank path adds into
+    its column block. On whatever BLAS and NumPy the suite runs, and at
+    d_model 128 (train-wide's shape) too, the two must agree to the bit, or
+    digests would move unseen."""
     cfg = dataclasses.replace(CFG, d_model=d_model, n_heads=n_heads, d_ff=d_ff)
     base = init_model(cfg)
     model, adapters, _ = trained_setup(cfg=cfg, alpha=6.0)
@@ -350,7 +350,7 @@ def test_fused_qkv_matches_each_models_own_q_k_v_and_keeps_every_bit(d_model, n_
         "4-bit merged": TinyLm(merge_adapters(quantize_bundle(base, QuantSpec(4)), adapters)),
         "pruned merged": TinyLm(prune_bundle(merged, PruneSpec("structured-nm", n=2, m=4))),
     }
-    # B is zero: each adapted product adds exactly 0 to its three-product base
+    # B is zero: each low-rank path adds exactly 0 to its column block
     zero = init_adapters(cfg, seed=1)
     prompt = encode_prompt("fault e01 link")
     for name, m in models.items():
@@ -365,12 +365,40 @@ def test_fused_qkv_matches_each_models_own_q_k_v_and_keeps_every_bit(d_model, n_
             assert np.array_equal(step, m.forward_cached(new, kv_ref, adapters=zero)[0]), name
             new = [int(step[-1].argmax())]
         assert kv.length == len(prompt) + 40
-    # the plain forward reads the fused matrix, the adapted one q, k and v
+    # both forwards read the fused matrix
     blind = copy.copy(model)
     blind.layers = [dict(lw, qkv=np.zeros_like(lw["qkv"])) for lw in model.layers]
     assert not np.array_equal(blind.forward_cached(prompt)[0], model.forward_cached(prompt)[0])
-    assert np.array_equal(blind.forward_cached(prompt, adapters=zero)[0],
-                          model.forward_cached(prompt, adapters=zero)[0])
+    assert not np.array_equal(blind.forward_cached(prompt, adapters=zero)[0],
+                              model.forward_cached(prompt, adapters=zero)[0])
+
+
+@pytest.mark.parametrize("bits", [4, 32])
+@pytest.mark.parametrize("d_model, n_heads, d_ff", [(32, 2, 64), (128, 4, 512)])
+def test_training_through_the_fused_product_keeps_the_bits_of_three_products(
+        monkeypatch, d_model, n_heads, d_ff, bits):
+    """Training adds each low-rank path into its column block of one fused
+    Q/K/V product. Its losses, adapters and gradients must equal, to the bit,
+    those of a forward that takes Q, K and V in three products."""
+    cfg = dataclasses.replace(CFG, d_model=d_model, n_heads=n_heads, d_ff=d_ff)
+    base, adapters, seqs = small_setup(cfg=cfg)
+    base = quantize_bundle(base, QuantSpec(bits))
+
+    def train():
+        model, a, losses = TinyLm(base), adapters, []
+        for _ in range(2):
+            a, loss = train_epoch(model, a, seqs, lr=0.05)
+            losses.append(loss)
+        loss, grads = model.loss_and_grads(seqs[0], a)
+        arrays = {**{("a", n): t for n, t in a.a.items()}, **{("b", n): t for n, t in a.b.items()},
+                  **{("grad", n, j): g for n, pair in grads.items() for j, g in enumerate(pair)}}
+        return losses + [loss], {key: t.tobytes() for key, t in arrays.items()}
+
+    fused = train()
+    monkeypatch.setattr(TinyLm, "forward_cached", oracles.three_product_forward)
+    three = train()
+    assert fused[0] == three[0]
+    assert list(fused[1]) == list(three[1]) and fused[1] == three[1]
 
 
 def test_training_builds_c_ordered_transposes_once_per_model(monkeypatch):
@@ -436,7 +464,8 @@ def test_training_keeps_every_activation_and_gradient_float32():
 @pytest.mark.parametrize("bits", [32, 8])
 def test_a_model_shares_its_bundles_float32_arrays_and_leaves_them_unchanged(bits):
     """`TinyLm` reads a float32 tensor of its bundle in place: at 32 bits every
-    weight, at any width the embeddings and the head. Forward, decode and
+    weight but wq, wk and wv, whose one copy is the model's fused matrix, at
+    any width the embeddings and the head. Forward, decode and
     training leave every tensor of the bundle, and of a merge made from it,
     unchanged to the byte."""
     def stored(b):
@@ -449,7 +478,10 @@ def test_a_model_shares_its_bundles_float32_arrays_and_leaves_them_unchanged(bit
     before = stored(bundle)
     model = TinyLm(bundle)
     shared = {n for n, t in bundle.tensors.items() if model.w[n] is t}
-    assert shared == (set(bundle.tensors) if bits == 32 else {"tok_emb", "pos_emb", "head"})
+    qkv = {f"layers.{i}.{m}" for i in range(CFG.n_layers) for m in tinylm._QKV}
+    assert shared == (set(bundle.tensors) - qkv if bits == 32 else {"tok_emb", "pos_emb", "head"})
+    assert all(np.shares_memory(model.w[f"layers.{i}.{m}"], lw["qkv"])
+               for i, lw in enumerate(model.layers) for m in tinylm._QKV)
     adapters, _ = train_epoch(model, adapters, seqs, lr=0.05)
     merged = merge_adapters(bundle, adapters)
     merged_before = stored(merged)
