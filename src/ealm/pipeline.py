@@ -186,6 +186,11 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
     training error at epoch j those with N >= j, and a merge or evaluation
     error only its own candidate.
 
+    A width's training `TinyLm` (its dequantized base, fused Q/K/V and the
+    transposes its backward reads) lives only through its epochs: it is
+    released as the last epoch's span closes, before that checkpoint is
+    merged and evaluated.
+
     Returns (records, artifacts) in grid order, where artifacts[id] is the
     merged model the candidate was scored on, carrying its lineage: the
     model loop 2 prunes.
@@ -205,10 +210,13 @@ def run_finetune_grid(config: PipelineConfig, meter: Meter,
             )
             model = tinylm.TinyLm(bundle)
             train_recs = []
-            for epoch in range(1, max(config.epochs_grid) + 1):
+            last = max(config.epochs_grid)
+            for epoch in range(1, last + 1):
                 (adapters, loss), energy = meter.measure(
                     tinylm.train_epoch, model, adapters, sequences, config.lr
                 )
+                if epoch == last:
+                    del model  # released before the last merge and evaluation
                 train_recs.append(TrainRecord(epoch, loss, energy))
                 if epoch not in lineages:
                     continue

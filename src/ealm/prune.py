@@ -97,10 +97,10 @@ def apply_mask(bundle: ModelBundle, masks: dict[str, np.ndarray]) -> ModelBundle
         if tuple(m.shape) != shape:
             raise PruneError(f"mask shape {m.shape} != tensor {name!r} shape {shape}")
         if isinstance(t, QuantizedTensor):
-            codes = np.where(m, t.codes, np.int8(0)).astype(np.int8)
-            tensors[name] = QuantizedTensor(t.shape, t.bits, codes, t.scales.copy())
+            codes = np.where(m, t.codes, np.int8(0))  # int8, as both its operands are
+            tensors[name] = QuantizedTensor(t.shape, t.bits, codes, t.scales)
         else:
-            tensors[name] = np.where(m, t, t.dtype.type(0)).astype(t.dtype)
+            tensors[name] = np.where(m, t, t.dtype.type(0))
     return ModelBundle(tensors=tensors, config=bundle.config, lineage=bundle.lineage)
 
 

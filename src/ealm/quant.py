@@ -1,7 +1,9 @@
 """Symmetric weight quantization over the power-of-two bit grid {4, 8, 16, 32}.
 
 8/4-bit use zero-point-free integer codes (round half away from zero, range
-[-qmax, qmax]); 16-bit is binary16 round-to-nearest-even; 32-bit is identity.
+[-qmax, qmax]); 16-bit is binary16 round-to-nearest-even; 32-bit is identity:
+`quantize` returns its float32 input itself, so a 32-bit bundle shares every
+array with its base. Bundles are never written in place.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ class QuantSpec:
 def quantize(arr: np.ndarray, spec: QuantSpec):
     """Quantize one dense float32 tensor at the requested bit width. Integer
     codes are for weight matrices, with one scale per row; binary16 and
-    float32 take any shape."""
+    float32 take any shape. At 32 bits the checked float32 input is returned,
+    not a copy."""
     arr = np.asarray(arr, dtype=np.float32)
     if not np.all(np.isfinite(arr)):
         raise QuantError("non-finite values in tensor")
     if spec.bits == 32:
-        return arr.copy()
+        return arr
     if spec.bits == 16:
         return arr.astype(np.float16)  # numpy converts with round-to-nearest-even
     if arr.ndim != 2:

@@ -530,7 +530,7 @@ def greedy_decode(model: TinyLm, adapters: LoraAdapters | None, prompt, max_new:
 def merge_adapters(bundle: ModelBundle, adapters: LoraAdapters) -> ModelBundle:
     """The bundle with each adapter delta folded into its matrix and stored
     again at the bundle's width: quantize(dequantize(t) + s * A @ B). At 32
-    bits `quantize` is a copy, so this is the float32 sum."""
+    bits `quantize` returns its input, so this is the float32 sum itself."""
     spec = QuantSpec(bundle.lineage.precision_bits)
     tensors = {
         name: quantize(dequantize(t) + adapters.delta(name), spec) if name in adapters.a else t

@@ -6,6 +6,7 @@ import re
 import shutil
 import struct
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -667,6 +668,64 @@ def test_every_model_the_pipeline_builds_stores_q_k_v_once(tmp_path, monkeypatch
             for view in (m.w[f"layers.{i}.{q}"] for q in tinylm._QKV):
                 sharing = {id(a) for a in every if np.shares_memory(view, a)}
                 assert sharing == {id(view), id(lw["qkv"])}
+
+
+@pytest.mark.parametrize("epochs_grid", [[2], [1, 2]])
+def test_a_widths_training_model_is_released_before_its_last_checkpoint_is_scored(
+        tmp_path, monkeypatch, epochs_grid):
+    """Each width's training model lives only through its epochs: when
+    ft-bX-e<max> is evaluated nothing holds it, while an earlier checkpoint
+    is scored with training still to come."""
+    cfg = make_config(tmp_path, epochs_grid=epochs_grid)
+    real_train, real_eval = tinylm.train_epoch, pl.evaluate_model
+    trained, alive = [], []
+
+    def train(model, *args):
+        trained.append(weakref.ref(model))
+        return real_train(model, *args)
+
+    def evaluate(*args):
+        alive.append(trained[-1]() is not None)
+        return real_eval(*args)
+
+    monkeypatch.setattr(tinylm, "train_epoch", train)
+    monkeypatch.setattr(pl, "evaluate_model", evaluate)
+    train_recs, evals = load_jsonl(cfg.train_path), load_jsonl(cfg.eval_path)
+    records, _ = pl.run_finetune_grid(cfg, pl.build_meter(cfg), train_recs, evals)
+    assert all(r.status == "ok" for r in records)
+    assert len(trained) == len(cfg.bits_grid) * max(epochs_grid)
+    per_width = [n != max(epochs_grid) for n in epochs_grid]
+    assert alive == per_width * len(cfg.bits_grid)
+
+
+def test_a_read_only_base_gives_the_same_run(tmp_path, monkeypatch):
+    """A 32-bit bundle shares its base's arrays, and a merge or a mask makes
+    new ones: with every base array read-only, a whole run reads the same
+    records and stages the same bytes, so no step writes into a weight in
+    place."""
+    def staged(out):
+        files = {name: scrub_volatile(json.loads((out / name).read_text()))
+                 for name in ("candidates_loop1.json", "candidates_loop2.json")}
+        return files, {p.name: p.read_bytes() for p in (out / "artifacts").iterdir()}
+
+    cfg, _ = write_trace_config(tmp_path)
+    cfg = dataclasses.replace(cfg, bits_grid=[4, 16, 32], epochs_grid=[1, 2], k=6)
+    pl.run_all(cfg)
+    want = staged(tmp_path / "out")
+    real_init, bases = tinylm.init_model, []
+
+    def read_only(config):
+        base = real_init(config)
+        for t in base.tensors.values():
+            t.flags.writeable = False
+        bases.append(base)
+        return base
+
+    monkeypatch.setattr(tinylm, "init_model", read_only)
+    pl.run_all(dataclasses.replace(cfg, out_dir=str(tmp_path / "ro")))
+    assert len(bases) == 1
+    assert staged(tmp_path / "ro") == want
+    assert len(want[0]["candidates_loop2.json"]) == 6 * len(cfg.prune_variants())
 
 
 def test_loop2_sparsity_is_the_zero_share_the_model_computes_on(tmp_path, monkeypatch):

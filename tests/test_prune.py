@@ -133,6 +133,24 @@ def test_apply_mask_quantized_codes():
     assert pruned.lineage == q.lineage
 
 
+@pytest.mark.parametrize("bits", [4, 8, 16, 32])
+def test_apply_mask_makes_one_array_per_masked_tensor(bits):
+    """A masked tensor keeps its storage dtype, and integer codes keep
+    sharing their parent's scales, which pruning does not change."""
+    bundle = init_model(LmConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq=16))
+    q = quantize_bundle(bundle, QuantSpec(bits))
+    pruned = prune_bundle(q, PruneSpec("unstructured-magnitude", ratio=0.5))
+    for name, t in pruned.tensors.items():
+        parent = q.tensors[name]
+        if not default_target_filter(name):
+            assert t is parent
+        elif isinstance(t, QuantizedTensor):
+            assert t.codes.dtype == np.int8 and t.scales is parent.scales
+            assert not np.shares_memory(t.codes, parent.codes)
+        else:
+            assert t.dtype == parent.dtype and not np.shares_memory(t, parent)
+
+
 def test_sparsity_accounting():
     bundle = init_model(LmConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq=16))
     assert sparsity(bundle) == pytest.approx(0.0, abs=1e-6)

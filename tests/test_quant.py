@@ -140,6 +140,20 @@ def test_quantize_bundle_targets_and_lineage():
     )
 
 
+def test_a_32bit_bundle_shares_every_array_with_its_base():
+    """At 32 bits `quantize` returns its checked input: the quantized bundle
+    holds no second copy of any weight."""
+    bundle = init_model(LmConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq=16))
+    q32 = quantize_bundle(bundle, QuantSpec(32))
+    assert q32.tensors.keys() == bundle.tensors.keys()
+    for name, t in q32.tensors.items():
+        assert np.shares_memory(t, bundle.tensors[name]), name
+    t = bundle.tensors["layers.0.attn.wq"]
+    assert quantize(t, QuantSpec(32)) is t
+    with pytest.raises(QuantError):  # the finiteness check stays
+        quantize(np.asarray([1.0, np.inf], np.float32), QuantSpec(32))
+
+
 def test_weight_matrix_set_is_pinned():
     # 12 layers, so a "layers.1" prefix that also matched "layers.10" would show
     cfg = LmConfig(d_model=4, n_layers=12, n_heads=1, d_ff=4, max_seq=4, vocab_size=4)
